@@ -6,14 +6,25 @@ ReLU lifts each 513-feature vector to 128 units; a bidirectional LSTM
 a second LSTM stacks on top; a linear head projects each step to (SBP, DBP).
 
 Everything runs in double precision numpy: exact backpropagation through
-time, global gradient-norm clipping, and bias-corrected Adam.  All shapes are
-parametric so that tiny instances can be verified against finite differences.
+time, global gradient-norm clipping, and bias-corrected Adam run in place.
+All shapes are parametric so that tiny instances can be verified against
+finite differences.
+
+All parameters live in one contiguous float64 vector (``ModelParams.flat``,
+BPNET1 declaration order); the named weights are views into it, so norms,
+clipping, Adam and the model file are whole-vector operations.  Activations
+are time-major, (M, B, .), inside the model.  Backpropagation through time
+keeps only the recurrent product in the time loop and gets input and weight
+gradients from one matrix product over all steps (Appleyard, Kocisky &
+Blunsom, "Optimizing Performance of Recurrent Neural Networks on GPUs", 2016).
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -25,6 +36,9 @@ HIDDEN_UNITS = 128
 OUTPUT_DIM = 2
 
 MODEL_MAGIC = b"BPNET1"
+# Magic, uint32 M / input dim / dense units / hidden units / output dim, then
+# four float64 channel statistics; the float64 parameter payload follows.
+MODEL_HEADER = struct.Struct("<6s5I4d")
 
 
 class ModelError(ValueError):
@@ -47,15 +61,6 @@ class TrainingDiverged(RuntimeError):
         self.batch = batch
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @dataclass
 class LstmWeights:
     """One cell's parameters; gate order [input | forget | cell | output]."""
@@ -69,67 +74,61 @@ class LstmWeights:
         return self.wh.shape[0]
 
 
-@dataclass
+def param_shapes(input_dim: int, dense_units: int, hidden: int, output_dim: int) -> list[tuple[str, tuple]]:
+    """(name, shape) of every parameter array, in BPNET1 declaration order."""
+    gates = 4 * hidden
+    shapes = [("dense_w", (input_dim, dense_units)), ("dense_b", (dense_units,))]
+    for cell, cell_in in (("fw", dense_units), ("bw", dense_units), ("lstm2", 2 * hidden)):
+        shapes += [(f"{cell}.wx", (cell_in, gates)), (f"{cell}.wh", (hidden, gates)), (f"{cell}.b", (gates,))]
+    return shapes + [("head_w", (hidden, output_dim)), ("head_b", (output_dim,))]
+
+
 class ModelParams:
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    fw: LstmWeights
-    bw: LstmWeights
-    lstm2: LstmWeights
-    head_w: np.ndarray
-    head_b: np.ndarray
+    """Every weight as a named view into one contiguous float64 vector.
+
+    ``dims`` is (input_dim, dense_units, hidden, output_dim).  ``flat`` holds
+    the parameters in :func:`param_shapes` order, zeros when not given; the
+    attributes ``dense_w``, ``fw.wx``, ..., ``head_b`` are reshaped views into
+    it, so a write through either is seen by the other.
+    """
+
+    def __init__(self, dims: tuple[int, int, int, int], flat: Optional[np.ndarray] = None):
+        self.dims = tuple(dims)
+        shapes = param_shapes(*self.dims)
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in shapes)) if flat is None else flat
+        views = {}
+        offset = 0
+        for name, shape in shapes:
+            n = math.prod(shape)
+            views[name] = self.flat[offset : offset + n].reshape(shape)
+            offset += n
+        self.dense_w, self.dense_b = views["dense_w"], views["dense_b"]
+        self.fw, self.bw, self.lstm2 = (
+            LstmWeights(views[f"{cell}.wx"], views[f"{cell}.wh"], views[f"{cell}.b"])
+            for cell in ("fw", "bw", "lstm2")
+        )
+        self.head_w, self.head_b = views["head_w"], views["head_b"]
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("dense_w", self.dense_w),
-            ("dense_b", self.dense_b),
-            ("fw.wx", self.fw.wx),
-            ("fw.wh", self.fw.wh),
-            ("fw.b", self.fw.b),
-            ("bw.wx", self.bw.wx),
-            ("bw.wh", self.bw.wh),
-            ("bw.b", self.bw.b),
-            ("lstm2.wx", self.lstm2.wx),
-            ("lstm2.wh", self.lstm2.wh),
-            ("lstm2.b", self.lstm2.b),
-            ("head_w", self.head_w),
-            ("head_b", self.head_b),
-        ]
+        return [(name, attrgetter(name)(self)) for name, _ in param_shapes(*self.dims)]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.dense_w.copy(), self.dense_b.copy(),
-            LstmWeights(self.fw.wx.copy(), self.fw.wh.copy(), self.fw.b.copy()),
-            LstmWeights(self.bw.wx.copy(), self.bw.wh.copy(), self.bw.b.copy()),
-            LstmWeights(self.lstm2.wx.copy(), self.lstm2.wh.copy(), self.lstm2.b.copy()),
-            self.head_w.copy(), self.head_b.copy(),
-        )
+        return ModelParams(self.dims, self.flat.copy())
 
     def zeros_like(self) -> "ModelParams":
-        out = self.copy()
-        for _, arr in out.arrays():
-            arr[...] = 0.0
-        return out
+        return ModelParams(self.dims)
 
     @property
     def input_dim(self) -> int:
-        return self.dense_w.shape[0]
-
-    @property
-    def dense_units(self) -> int:
-        return self.dense_w.shape[1]
+        return self.dims[0]
 
     @property
     def hidden(self) -> int:
-        return self.fw.hidden
-
-    @property
-    def output_dim(self) -> int:
-        return self.head_w.shape[1]
+        return self.dims[2]
 
     @property
     def count(self) -> int:
-        return sum(arr.size for _, arr in self.arrays())
+        return self.flat.size
 
 
 @dataclass
@@ -162,15 +161,6 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple) -
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _init_lstm(rng: np.random.Generator, input_dim: int, hidden: int) -> LstmWeights:
-    # Glorot per gate block; forget-gate bias starts at 1.
-    wx = _glorot(rng, input_dim, hidden, (input_dim, 4 * hidden))
-    wh = _glorot(rng, hidden, hidden, (hidden, 4 * hidden))
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = 1.0
-    return LstmWeights(wx, wh, b)
-
-
 def init_params(
     seed: int,
     input_dim: int = FEATURE_DIM,
@@ -180,122 +170,124 @@ def init_params(
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases except LSTM forget gates at 1."""
     rng = np.random.default_rng(seed)
-    dense_w = _glorot(rng, input_dim, dense_units, (input_dim, dense_units))
-    fw = _init_lstm(rng, dense_units, hidden)
-    bw = _init_lstm(rng, dense_units, hidden)
-    lstm2 = _init_lstm(rng, 2 * hidden, hidden)
-    head_w = _glorot(rng, hidden, output_dim, (hidden, output_dim))
-    return ModelParams(
-        dense_w, np.zeros(dense_units), fw, bw, lstm2, head_w, np.zeros(output_dim)
-    )
+    params = ModelParams((input_dim, dense_units, hidden, output_dim))
+    params.dense_w[...] = _glorot(rng, input_dim, dense_units, params.dense_w.shape)
+    for cell in (params.fw, params.bw, params.lstm2):
+        # Glorot per gate block; forget-gate bias starts at 1.
+        cell.wx[...] = _glorot(rng, cell.wx.shape[0], hidden, cell.wx.shape)
+        cell.wh[...] = _glorot(rng, hidden, hidden, cell.wh.shape)
+        cell.b[hidden : 2 * hidden] = 1.0
+    params.head_w[...] = _glorot(rng, hidden, output_dim, params.head_w.shape)
+    return params
 
 
 @dataclass
 class LstmCache:
-    inputs: np.ndarray  # (B, M, Din)
-    gates: np.ndarray   # (B, M, 4H) post-activation
-    cells: np.ndarray   # (B, M, H)
-    hidden: np.ndarray  # (B, M, H)
+    inputs: np.ndarray  # (M*B, Din) time-major rows
+    gates: np.ndarray   # (M, B, 4H) post-activation
+    cells: np.ndarray   # (M, B, H)
+    tanh_c: np.ndarray  # (M, B, H) tanh of the cells
+    hidden: np.ndarray  # (M, B, H)
 
 
 def lstm_forward(inputs: np.ndarray, w: LstmWeights, layer: str = "lstm") -> tuple[np.ndarray, LstmCache]:
-    """Run one LSTM direction over (B, M, Din) inputs."""
-    B, M, _ = inputs.shape
+    """Run one LSTM direction over time-major (M, B, Din) inputs."""
+    M, B, d_in = inputs.shape
     H = w.hidden
-    pre = inputs @ w.wx + w.b
-    gates = np.empty((B, M, 4 * H))
-    cells = np.empty((B, M, H))
-    hidden = np.empty((B, M, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    x2 = inputs.reshape(M * B, d_in)
+    gates = (x2 @ w.wx + w.b).reshape(M, B, 4 * H)  # activated in place, step by step
+    cells = np.empty((M, B, H))
+    tanh_c = np.empty((M, B, H))
+    hidden = np.empty((M, B, H))
+    # sigmoid(z) = 0.5 tanh(z / 2) + 0.5 on the i, f, o blocks; tanh on g.
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+    shift = 1.0 - scale
     for t in range(M):
-        z = pre[:, t] + h @ w.wh
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        if not np.all(np.isfinite(h)):
-            raise NonFiniteActivation(t, layer)
-        gates[:, t, :H] = i
-        gates[:, t, H : 2 * H] = f
-        gates[:, t, 2 * H : 3 * H] = g
-        gates[:, t, 3 * H :] = o
-        cells[:, t] = c
-        hidden[:, t] = h
-    return hidden, LstmCache(inputs, gates, cells, hidden)
+        z = gates[t]
+        if t:
+            z += hidden[t - 1] @ w.wh
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=cells[t])
+        if t:
+            cells[t] += z[:, H : 2 * H] * cells[t - 1]
+        np.tanh(cells[t], out=tanh_c[t])
+        np.multiply(z[:, 3 * H :], tanh_c[t], out=hidden[t])
+    finite = np.isfinite(hidden).reshape(M, -1).all(axis=1)
+    if not finite.all():
+        raise NonFiniteActivation(int(np.argmin(finite)), layer)
+    return hidden, LstmCache(x2, gates, cells, tanh_c, hidden)
 
 
-def lstm_backward(w: LstmWeights, cache: LstmCache, d_hidden: np.ndarray) -> tuple[np.ndarray, LstmWeights]:
-    """BPTT through one direction; returns (d_inputs, weight grads)."""
-    B, M, H = d_hidden.shape
-    gates, cells, hidden = cache.gates, cache.cells, cache.hidden
-    d_wx = np.zeros_like(w.wx)
-    d_wh = np.zeros_like(w.wh)
-    d_b = np.zeros_like(w.b)
-    d_inputs = np.empty_like(cache.inputs)
+def lstm_backward(w: LstmWeights, cache: LstmCache, d_hidden: np.ndarray, grads: LstmWeights) -> np.ndarray:
+    """BPTT through one direction for time-major (M, B, H) output gradients.
+
+    Writes the weight gradients into `grads`; returns d_inputs (M, B, Din).
+    """
+    M, B, H = d_hidden.shape
+    i, f, g, o = np.split(cache.gates, 4, axis=2)
+    # dz = [dc g i(1-i) | dc c_prev f(1-f) | dc i(1-g^2) | dh tanh(c) o(1-o)];
+    # every factor beside dc and dh is known before the loop.
+    coef = np.empty_like(cache.gates)
+    c_i, c_f, c_g, c_o = np.split(coef, 4, axis=2)
+    np.multiply(g, i * (1.0 - i), out=c_i)
+    c_f[0] = 0.0
+    np.multiply(cache.cells[:-1], f[1:] * (1.0 - f[1:]), out=c_f[1:])
+    np.multiply(i, 1.0 - g * g, out=c_g)
+    np.multiply(cache.tanh_c, o * (1.0 - o), out=c_o)
+    dc_dh = o * (1.0 - cache.tanh_c * cache.tanh_c)
+    coef4 = coef.reshape(M, B, 4, H)
+
+    dz = np.empty_like(coef)
+    dz4 = dz.reshape(M, B, 4, H)
+    wh_t = w.wh.T
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     for t in range(M - 1, -1, -1):
-        i = gates[:, t, :H]
-        f = gates[:, t, H : 2 * H]
-        g = gates[:, t, 2 * H : 3 * H]
-        o = gates[:, t, 3 * H :]
-        tc = np.tanh(cells[:, t])
-        dh = d_hidden[:, t] + dh_next
-        do = dh * tc
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        c_prev = cells[:, t - 1] if t > 0 else np.zeros((B, H))
-        h_prev = hidden[:, t - 1] if t > 0 else np.zeros((B, H))
-        dz = np.concatenate(
-            [
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        d_wx += cache.inputs[:, t].T @ dz
-        d_wh += h_prev.T @ dz
-        d_b += dz.sum(axis=0)
-        d_inputs[:, t] = dz @ w.wx.T
-        dh_next = dz @ w.wh.T
-        dc_next = dc * f
-    return d_inputs, LstmWeights(d_wx, d_wh, d_b)
+        dh = d_hidden[t] + dh_next
+        dc = dc_next + dh * dc_dh[t]
+        np.multiply(dc[:, None, :], coef4[t, :, :3], out=dz4[t, :, :3])
+        np.multiply(dh, coef4[t, :, 3], out=dz4[t, :, 3])
+        if t:
+            dh_next = dz[t] @ wh_t
+            dc_next = dc * f[t]
+
+    dz2 = dz.reshape(M * B, 4 * H)
+    np.matmul(cache.inputs.T, dz2, out=grads.wx)
+    np.matmul(cache.hidden[:-1].reshape(-1, H).T, dz2[B:], out=grads.wh)
+    np.sum(dz2, axis=0, out=grads.b)
+    return (dz2 @ w.wx.T).reshape(M, B, -1)
 
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray
-    dense_pre: np.ndarray
-    dense_out: np.ndarray
+    x: np.ndarray          # (M*B, input_dim) time-major rows
+    dense_pre: np.ndarray  # (M*B, dense_units)
     fw_cache: LstmCache
-    bw_cache: LstmCache
-    bi_out: np.ndarray    # (B, M, 2H) concatenated bidirectional output
+    bw_cache: LstmCache    # runs over the time-reversed sequence
+    bi_out: np.ndarray     # (M, B, 2H) concatenated bidirectional output
     lstm2_cache: LstmCache
-    lstm2_out: np.ndarray
-    outputs: np.ndarray   # (B, M, out)
+    outputs: np.ndarray    # (B, M, out)
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass over a (B, M, input_dim) batch."""
+    """Forward pass over a (B, M, input_dim) batch; outputs are (B, M, out)."""
     if x.ndim != 3 or x.shape[2] != params.input_dim:
         raise ModelError(f"expected (B, M, {params.input_dim}) input, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ModelError("non-finite input features")
-    dense_pre = x @ params.dense_w + params.dense_b
-    dense_out = np.maximum(dense_pre, 0.0)
+    B, M, _ = x.shape
+    x2 = x.transpose(1, 0, 2).reshape(M * B, -1)
+    dense_pre = x2 @ params.dense_w + params.dense_b
+    dense_out = np.maximum(dense_pre, 0.0).reshape(M, B, -1)
     h_fw, fw_cache = lstm_forward(dense_out, params.fw, "forward lstm")
-    rev = np.ascontiguousarray(dense_out[:, ::-1])
-    h_bw_rev, bw_cache = lstm_forward(rev, params.bw, "backward lstm")
-    bi_out = np.concatenate([h_fw, h_bw_rev[:, ::-1]], axis=2)
+    h_bw_rev, bw_cache = lstm_forward(dense_out[::-1], params.bw, "backward lstm")
+    bi_out = np.concatenate([h_fw, h_bw_rev[::-1]], axis=2)
     h2, lstm2_cache = lstm_forward(bi_out, params.lstm2, "second lstm")
-    outputs = h2 @ params.head_w + params.head_b
-    return outputs, ForwardCache(
-        x, dense_pre, dense_out, fw_cache, bw_cache, bi_out, lstm2_cache, h2, outputs
-    )
+    outputs = np.ascontiguousarray((h2 @ params.head_w + params.head_b).transpose(1, 0, 2))
+    return outputs, ForwardCache(x2, dense_pre, fw_cache, bw_cache, bi_out, lstm2_cache, outputs)
 
 
 def forward(params: ModelParams, sequence: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -316,25 +308,22 @@ def backward_batch(
         raise ModelError(f"targets shape {targets.shape} does not match outputs {y.shape}")
     err = y - targets
     loss = float(np.mean(err * err))
-    d_y = 2.0 * err / err.size
-
-    d_head_w = np.einsum("bmh,bmo->ho", cache.lstm2_out, d_y)
-    d_head_b = d_y.sum(axis=(0, 1))
-    d_h2 = d_y @ params.head_w.T
-
-    d_bi, g_lstm2 = lstm_backward(params.lstm2, cache.lstm2_cache, d_h2)
+    B, M, out_dim = y.shape
     H = params.hidden
-    d_fw_out = np.ascontiguousarray(d_bi[:, :, :H])
-    d_bw_out_rev = np.ascontiguousarray(d_bi[:, ::-1, H:])
-    d_dense_fw, g_fw = lstm_backward(params.fw, cache.fw_cache, d_fw_out)
-    d_dense_bw_rev, g_bw = lstm_backward(params.bw, cache.bw_cache, d_bw_out_rev)
-    d_dense = d_dense_fw + d_dense_bw_rev[:, ::-1]
+    grads = params.zeros_like()
 
-    d_pre = d_dense * (cache.dense_pre > 0)
-    d_dense_w = np.einsum("bmd,bmh->dh", cache.x, d_pre)
-    d_dense_b = d_pre.sum(axis=(0, 1))
+    d_y = (2.0 * err / err.size).transpose(1, 0, 2).reshape(M * B, out_dim)
+    np.matmul(cache.lstm2_cache.hidden.reshape(M * B, H).T, d_y, out=grads.head_w)
+    np.sum(d_y, axis=0, out=grads.head_b)
+    d_h2 = (d_y @ params.head_w.T).reshape(M, B, H)
 
-    grads = ModelParams(d_dense_w, d_dense_b, g_fw, g_bw, g_lstm2, d_head_w, d_head_b)
+    d_bi = lstm_backward(params.lstm2, cache.lstm2_cache, d_h2, grads.lstm2)
+    d_dense = lstm_backward(params.fw, cache.fw_cache, d_bi[:, :, :H], grads.fw)
+    d_dense += lstm_backward(params.bw, cache.bw_cache, d_bi[::-1, :, H:], grads.bw)[::-1]
+
+    d_pre = d_dense.reshape(M * B, -1) * (cache.dense_pre > 0)
+    np.matmul(cache.x.T, d_pre, out=grads.dense_w)
+    np.sum(d_pre, axis=0, out=grads.dense_b)
     return grads, loss
 
 
@@ -349,21 +338,20 @@ def backward(
 
 
 def gradient_norm(grads: ModelParams) -> float:
-    return float(np.sqrt(sum(float(np.sum(arr * arr)) for _, arr in grads.arrays())))
+    return math.sqrt(float(np.dot(grads.flat, grads.flat)))
 
 
 def clip_gradient_norm(grads: ModelParams, cap: float) -> ModelParams:
-    """Scale all gradients by cap/norm when the global L2 norm exceeds cap."""
+    """Scale all gradients by cap/norm when the global L2 norm exceeds cap.
+
+    Returns `grads` itself when no scaling is needed, else a new object.
+    """
     if cap <= 0:
         raise ModelError(f"cap must be positive, got {cap}")
     norm = gradient_norm(grads)
     if norm <= cap:
         return grads
-    scaled = grads.copy()
-    factor = cap / norm
-    for _, arr in scaled.arrays():
-        arr *= factor
-    return scaled
+    return ModelParams(grads.dims, grads.flat * (cap / norm))
 
 
 @dataclass
@@ -383,20 +371,28 @@ class AdamState:
 def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, lr: float = 0.001
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    t = state.step + 1
-    new_params = params.copy()
-    new_m = state.m.copy()
-    new_v = state.v.copy()
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for (_, p), (_, g), (_, m), (_, v) in zip(
-        new_params.arrays(), grads.arrays(), new_m.arrays(), new_v.arrays()
-    ):
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p[...] = p - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return new_params, AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
+    """One bias-corrected Adam update, in place; returns the same objects.
+
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), through one temporary vector.
+    """
+    state.step += 1
+    bc1 = 1.0 - state.beta1**state.step
+    bc2 = 1.0 - state.beta2**state.step
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    tmp = np.empty_like(p)
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
+    v *= state.beta2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - state.beta2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr / bc1
+    p -= tmp
+    return params, state
 
 
 def _dataset_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -405,13 +401,13 @@ def _dataset_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _mean_loss(params: ModelParams, x: np.ndarray, y: np.ndarray, chunk: int = 256) -> float:
-    total = 0.0
-    for lo in range(0, x.shape[0], chunk):
-        xb, yb = x[lo : lo + chunk], y[lo : lo + chunk]
-        outputs, _ = forward_batch(params, xb)
-        total += float(np.sum((outputs - yb) ** 2))
-    return total / y.size
+def _outputs(params: ModelParams, x: np.ndarray, chunk: int = 256) -> np.ndarray:
+    """forward_batch outputs, `chunk` sequences at a time to bound activation memory."""
+    return np.concatenate([forward_batch(params, x[lo : lo + chunk])[0] for lo in range(0, x.shape[0], chunk)])
+
+
+def _mean_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.sum((_outputs(params, x) - y) ** 2)) / y.size
 
 
 def train(
@@ -423,7 +419,8 @@ def train(
 
     Batches reshuffle each epoch under the seeded generator; the parameters
     with the best validation MSE are returned together with the per-epoch
-    loss history.
+    loss history.  A `params` argument is the starting point and is left
+    unchanged.
     """
     if not dataset.train or not dataset.validation:
         raise ModelError("train and validation partitions must be non-empty")
@@ -433,6 +430,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     if params is None:
         params = init_params(config.seed, input_dim=x_train.shape[2])
+    else:
+        params = params.copy()
     state = AdamState.for_params(params)
     history = TrainHistory()
     best_val = np.inf
@@ -453,7 +452,7 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, bi)
             grads = clip_gradient_norm(grads, config.grad_cap)
-            params, state = adam_step(params, grads, state, config.learning_rate)
+            adam_step(params, grads, state, config.learning_rate)
             epoch_losses.append(loss)
             history.steps += 1
         history.train_loss.append(float(np.mean(epoch_losses)))
@@ -505,44 +504,31 @@ class TrainedModel:
         """Final-step outputs for (N, M, input_dim) standardized sequences."""
         if x.shape[1] != self.m:
             raise ModelError(f"batch M={x.shape[1]} does not match trained M={self.m}")
-        outputs, _ = forward_batch(self.params, x)
-        return outputs[:, -1, :]
+        return _outputs(self.params, x)[:, -1, :]
 
 
 def save_model(model: TrainedModel, path) -> None:
     """Write the BPNET1 container: magic, dims, channel stats, f64 payload."""
-    p = model.params
+    p, s = model.params, model.stats
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIII", model.m, p.input_dim, p.dense_units, p.hidden, p.output_dim
-            )
-        )
-        fh.write(
-            struct.pack(
-                "<dddd", model.stats.ecg_mean, model.stats.ecg_std,
-                model.stats.ppg_mean, model.stats.ppg_std,
-            )
-        )
-        for _, arr in p.arrays():
-            fh.write(arr.astype("<f8").tobytes())
+        fh.write(MODEL_HEADER.pack(MODEL_MAGIC, model.m, *p.dims, s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std))
+        fh.write(p.flat.astype("<f8").tobytes())
 
 
 def load_model(path) -> TrainedModel:
+    """Read a BPNET1 container; a malformed one raises ModelError."""
     with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != MODEL_MAGIC:
-            raise ModelError(f"bad model magic {magic!r}")
-        m, input_dim, dense_units, hidden, output_dim = struct.unpack("<IIIII", fh.read(20))
-        stats = ChannelStats(*struct.unpack("<dddd", fh.read(32)))
-        payload = fh.read()
-    params = init_params(0, input_dim, dense_units, hidden, output_dim)
-    offset = 0
-    for _, arr in params.arrays():
-        block = np.frombuffer(payload, dtype="<f8", count=arr.size, offset=offset)
-        arr[...] = block.reshape(arr.shape)
-        offset += arr.size * 8
-    if offset != len(payload):
-        raise ModelError("model payload size mismatch")
-    return TrainedModel(params, m, stats)
+        data = fh.read()
+    if data[:6] != MODEL_MAGIC:
+        raise ModelError(f"bad model magic {data[:6]!r}")
+    if len(data) < MODEL_HEADER.size:
+        raise ModelError(f"truncated model header: {len(data)} of {MODEL_HEADER.size} bytes")
+    _, m, *dims, ecg_mean, ecg_std, ppg_mean, ppg_std = MODEL_HEADER.unpack_from(data)
+    if m < 1 or min(dims) < 1:
+        raise ModelError(f"model dimensions must be positive, got M={m}, dims {dims}")
+    count = sum(math.prod(shape) for _, shape in param_shapes(*dims))
+    payload = len(data) - MODEL_HEADER.size
+    if payload != 8 * count:
+        raise ModelError(f"model payload is {payload} bytes, its dims declare {8 * count}")
+    flat = np.frombuffer(data, dtype="<f8", offset=MODEL_HEADER.size).astype(float)
+    return TrainedModel(ModelParams(dims, flat), m, ChannelStats(ecg_mean, ecg_std, ppg_mean, ppg_std))

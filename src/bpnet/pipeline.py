@@ -18,6 +18,7 @@ import numpy as np
 from bpnet.config import PipelineConfig
 from bpnet.evaluate import assemble_report, tracking_export
 from bpnet.model import (
+    ModelError,
     TrainConfig,
     TrainedModel,
     load_model,
@@ -317,17 +318,25 @@ def stage_eval(config: PipelineConfig) -> str:
     models = _models_for_eval(config)
     out = Path(config.out_dir)
 
+    def model_key(sample) -> str:
+        return "" if config.pooled else sample.patient_id
+
     ordered = sorted(split.test, key=lambda s: (s.patient_id, s.start_index))
-    rows = []
-    for sample in ordered:
-        model = models.get(sample.patient_id if not config.pooled else "", None)
-        if model is None:
-            continue
-        pair = model.predict(sample.input_array())
-        truth = sample.targets[-1]
-        rows.append((sample.patient_id, sample.start_index, truth.sbp, pair.sbp, truth.dbp, pair.dbp))
-    if not rows:
+    scored = [s for s in ordered if model_key(s) in models]
+    if not scored:
         raise DataError("no test sequences with a matching model")
+    # One batched forward pass per model.
+    estimates = np.empty((len(scored), 2))
+    for key, model in models.items():
+        idx = [i for i, s in enumerate(scored) if model_key(s) == key]
+        if idx:
+            estimates[idx] = model.predict_batch(np.stack([scored[i].input_array() for i in idx]))
+    if not np.all(np.isfinite(estimates)):
+        raise ModelError("non-finite prediction")
+    rows = [
+        (s.patient_id, s.start_index, s.targets[-1].sbp, sbp, s.targets[-1].dbp, dbp)
+        for s, (sbp, dbp) in zip(scored, estimates.tolist())
+    ]
 
     pred_lines = ["patient,start_index,sbp_true,sbp_est,dbp_true,dbp_est"]
     pred_lines += [

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bpnet.cli import main
@@ -126,3 +127,28 @@ def test_config_echoed_to_run_log(tmp_path, synth_csv, capsys):
     assert "resolved config" in log
     assert "train.m = 10" in log
     assert "train.cap = 3.0" in log
+
+
+def _trained_run(tmp_path, synth_csv):
+    cfg = _write_config(tmp_path, synth_csv)
+    for stage in ("ingest", "preprocess", "segment", "train"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    return cfg, tmp_path / "out" / "model.bpnet"
+
+
+def test_eval_on_truncated_model_exits_2(tmp_path, synth_csv, capsys):
+    cfg, model_path = _trained_run(tmp_path, synth_csv)
+    model_path.write_bytes(model_path.read_bytes()[:-100])
+    assert main(["eval", "--config", str(cfg)]) == 2
+    assert "payload" in capsys.readouterr().err
+
+
+def test_eval_non_finite_estimate_exits_2(tmp_path, synth_csv, capsys):
+    from bpnet.model import load_model, save_model
+
+    cfg, model_path = _trained_run(tmp_path, synth_csv)
+    trained = load_model(model_path)
+    trained.params.head_b[0] = np.inf
+    save_model(trained, model_path)
+    assert main(["eval", "--config", str(cfg)]) == 2
+    assert "non-finite prediction" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from bpnet.model import (
     LstmWeights,
     ModelError,
     ModelParams,
+    NonFiniteActivation,
     TrainConfig,
     TrainedModel,
     adam_step,
@@ -64,6 +65,42 @@ class TestInit:
         assert params.count == expected
 
 
+class TestFlatLayout:
+    def test_arrays_are_views_into_flat(self):
+        params = _tiny_params(seed=18)
+        offset = 0
+        for name, arr in params.arrays():
+            assert np.shares_memory(arr, params.flat), name
+            arr.ravel()[0] = 1234.5  # writes through, as the gradient checks rely on
+            assert params.flat[offset] == 1234.5, name
+            offset += arr.size
+        assert offset == params.flat.size == params.count
+
+    def test_flat_is_declaration_order(self):
+        params = _tiny_params(seed=19)
+        joined = np.concatenate([arr.ravel() for _, arr in params.arrays()])
+        assert np.array_equal(joined, params.flat)
+        assert [name for name, _ in params.arrays()] == [
+            "dense_w", "dense_b", "fw.wx", "fw.wh", "fw.b", "bw.wx", "bw.wh", "bw.b",
+            "lstm2.wx", "lstm2.wh", "lstm2.b", "head_w", "head_b",
+        ]
+
+    def test_copy_is_independent(self):
+        params = _tiny_params(seed=20)
+        dup = params.copy()
+        dup.fw.wh[0, 0] += 1.0
+        assert dup.fw.wh[0, 0] != params.fw.wh[0, 0]
+        assert not np.shares_memory(dup.flat, params.flat)
+
+    def test_gradients_land_in_one_flat_vector(self, rng):
+        params = _tiny_params(seed=21)
+        _, cache = forward_batch(params, rng.standard_normal((2, 3, 5)))
+        grads, _ = backward_batch(params, cache, rng.standard_normal((2, 3, 2)))
+        for name, arr in grads.arrays():
+            assert np.shares_memory(arr, grads.flat), name
+        assert gradient_norm(grads) == pytest.approx(np.linalg.norm(grads.flat), rel=1e-14)
+
+
 class TestForward:
     def test_zero_params_zero_outputs(self, rng):
         params = _tiny_params().zeros_like()
@@ -97,8 +134,8 @@ class TestForward:
         _, cache_rev = forward_batch(swapped, x[:, ::-1])
 
         h = params.hidden
-        bi = cache.bi_out[0]
-        bi_rev = cache_rev.bi_out[0]
+        bi = cache.bi_out[:, 0]  # bi_out is time-major (M, B, 2H)
+        bi_rev = cache_rev.bi_out[:, 0]
         assert np.max(np.abs(bi_rev[::-1, h:] - bi[:, :h])) <= 1e-10
         assert np.max(np.abs(bi_rev[::-1, :h] - bi[:, h:])) <= 1e-10
 
@@ -108,6 +145,17 @@ class TestForward:
         x[1, 3] = np.inf
         with pytest.raises(ModelError, match="non-finite"):
             forward(params, x)
+
+    @pytest.mark.parametrize("bad_step", [0, 2, 4])
+    def test_non_finite_activation_names_first_step_and_layer(self, rng, bad_step):
+        w = _tiny_params(seed=16).lstm2
+        inputs = rng.standard_normal((5, 3, 8))  # time-major (M, B, Din)
+        inputs[bad_step, 1, 2] = np.nan
+        with pytest.raises(NonFiniteActivation) as info:
+            lstm_forward(inputs, w, "second lstm")
+        assert info.value.step == bad_step
+        assert info.value.layer == "second lstm"
+        assert f"step {bad_step} in second lstm" in str(info.value)
 
 
 class TestBackward:
@@ -226,10 +274,31 @@ class TestAdam:
 
     def test_zero_gradient_keeps_params(self):
         params = _tiny_params(seed=10)
+        before = params.copy()
         state = AdamState.for_params(params)
         new_params, _ = adam_step(params, params.zeros_like(), state)
-        for (_, a), (_, b) in zip(params.arrays(), new_params.arrays()):
+        for (_, a), (_, b) in zip(before.arrays(), new_params.arrays()):
             assert np.array_equal(a, b)
+
+    def test_in_place_update_matches_textbook(self, rng):
+        params = _tiny_params(seed=17)
+        state = AdamState.for_params(params)
+        p = params.flat.copy()
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.standard_normal(p.size)
+            new_params, new_state = adam_step(params, grads, state, lr=lr)
+            assert new_params is params and new_state is state
+            m = b1 * m + (1 - b1) * grads.flat
+            v = b2 * v + (1 - b2) * grads.flat**2
+            p = p - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            assert state.step == t
+            np.testing.assert_allclose(params.flat, p, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(state.m.flat, m, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(state.v.flat, v, rtol=0, atol=1e-14)
 
     def test_deterministic_trajectories(self, rng):
         x = rng.standard_normal((2, 3, 5))
@@ -278,6 +347,15 @@ class TestTrain:
         assert h1.train_loss == h2.train_loss
         for (_, a), (_, b) in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
+
+    def test_caller_params_unchanged(self, rng):
+        dataset = _toy_dataset(rng)
+        config = TrainConfig(m=4, batch_size=8, max_epochs=3, patience=3, seed=2)
+        start = init_params(5, input_dim=513, dense_units=4, hidden=4, output_dim=2)
+        before = start.flat.copy()
+        trained, _ = train(dataset, config, params=start)
+        assert np.array_equal(start.flat, before)
+        assert not np.array_equal(trained.flat, before)
 
     def test_empty_partition_rejected(self, rng):
         dataset = _toy_dataset(rng)
@@ -331,4 +409,41 @@ class TestModelFile:
         path = tmp_path / "bad.bpnet"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ModelError, match="magic"):
+            load_model(path)
+
+    def test_payload_is_the_flat_vector(self, tmp_path):
+        params = _tiny_params(seed=22)
+        path = tmp_path / "model.bpnet"
+        save_model(TrainedModel(params, m=4, stats=ChannelStats(0.0, 1.0, 0.0, 1.0)), path)
+        payload = path.read_bytes()[6 + 20 + 32 :]
+        assert payload == params.flat.astype("<f8").tobytes()
+
+    @pytest.fixture()
+    def model_bytes(self, tmp_path):
+        path = tmp_path / "model.bpnet"
+        save_model(TrainedModel(_tiny_params(seed=23), m=4, stats=ChannelStats(0.0, 1.0, 0.0, 1.0)), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "cut, match",
+        [(6 + 10, "truncated model header"), (6 + 20 + 32 + 8, "payload"), (-8, "payload")],
+        ids=["header", "payload", "last-value"],
+    )
+    def test_truncated_file_raises_model_error(self, tmp_path, model_bytes, cut, match):
+        path = tmp_path / "cut.bpnet"
+        path.write_bytes(model_bytes[:cut])
+        with pytest.raises(ModelError, match=match):
+            load_model(path)
+
+    def test_zero_dimension_raises_model_error(self, tmp_path, model_bytes):
+        path = tmp_path / "zero.bpnet"
+        hidden_at = 6 + 3 * 4  # magic, then uint32 M, input dim, dense units, hidden
+        path.write_bytes(model_bytes[:hidden_at] + b"\x00" * 4 + model_bytes[hidden_at + 4 :])
+        with pytest.raises(ModelError, match="positive"):
+            load_model(path)
+
+    def test_trailing_bytes_raise_model_error(self, tmp_path, model_bytes):
+        path = tmp_path / "long.bpnet"
+        path.write_bytes(model_bytes + b"\x00" * 8)
+        with pytest.raises(ModelError, match="payload"):
             load_model(path)
