@@ -9,7 +9,7 @@ evaluation (AAMI / BHS / Bland-Altman / correlation statistics).
 
 from bpnet.tqwt import TqwtParams, SubbandSet, FrequencyTable, decompose, reconstruct
 from bpnet.recordio import PatientRecord, RecordDescriptor, read_csv_record, read_wfdb_record, select_channels
-from bpnet.segmentation import FeatureVector, TargetPair, SequenceSample, DatasetSplit
+from bpnet.segmentation import TargetPair, Sequences, DatasetSplit
 from bpnet.model import ModelParams, TrainConfig, AdamState, TrainedModel
 
 __all__ = [
@@ -23,9 +23,8 @@ __all__ = [
     "read_csv_record",
     "read_wfdb_record",
     "select_channels",
-    "FeatureVector",
     "TargetPair",
-    "SequenceSample",
+    "Sequences",
     "DatasetSplit",
     "ModelParams",
     "TrainConfig",

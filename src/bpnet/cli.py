@@ -28,7 +28,7 @@ from bpnet.pipeline import (
 )
 from bpnet.preprocess import PreprocessError
 from bpnet.recordio import RecordIOError
-from bpnet.segmentation import SegmentationError
+from bpnet.segmentation import DatasetError, SegmentationError
 from bpnet.synthetic import SyntheticConfig, generate
 from bpnet.tqwt import TqwtError
 
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
         print(f"bpnet: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (
-        DataError, RecordIOError, SegmentationError, PreprocessError,
+        DataError, DatasetError, RecordIOError, SegmentationError, PreprocessError,
         TqwtError, ModelError, EvaluateError, OSError,
     ) as exc:
         print(f"bpnet: data error: {exc}", file=sys.stderr)

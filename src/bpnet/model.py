@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit, TargetPair, standardize_features
+from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit, TargetPair
 
 DENSE_UNITS = 128
 HIDDEN_UNITS = 128
@@ -395,12 +395,6 @@ def adam_step(
     return params, state
 
 
-def _dataset_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([s.input_array() for s in samples])
-    y = np.stack([s.target_array() for s in samples])
-    return x, y
-
-
 def _outputs(params: ModelParams, x: np.ndarray, chunk: int = 256) -> np.ndarray:
     """forward_batch outputs, `chunk` sequences at a time to bound activation memory."""
     return np.concatenate([forward_batch(params, x[lo : lo + chunk])[0] for lo in range(0, x.shape[0], chunk)])
@@ -424,8 +418,8 @@ def train(
     """
     if not dataset.train or not dataset.validation:
         raise ModelError("train and validation partitions must be non-empty")
-    x_train, y_train = _dataset_arrays(dataset.train)
-    x_val, y_val = _dataset_arrays(dataset.validation)
+    x_train, y_train = dataset.train.input_array(), dataset.train.target_array()
+    x_val, y_val = dataset.validation.input_array(), dataset.validation.target_array()
 
     rng = np.random.default_rng(config.seed)
     if params is None:
@@ -490,14 +484,13 @@ class TrainedModel:
     m: int
     stats: ChannelStats
 
-    def predict(self, sequence: np.ndarray, standardized: bool = True) -> TargetPair:
+    def predict(self, sequence: np.ndarray) -> TargetPair:
+        """Final-step (SBP, DBP) for one standardized (M, input_dim) sequence."""
         seq = np.asarray(sequence, dtype=float)
         if seq.ndim != 2 or seq.shape[0] != self.m:
             raise ModelError(
                 f"sequence shape {seq.shape} does not match trained M={self.m}"
             )
-        if not standardized:
-            seq = standardize_features(seq, self.stats)
         return predict(self.params, seq)
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:

@@ -25,11 +25,12 @@ from bpnet.model import (
     save_model,
     train,
 )
-from bpnet.preprocess import preprocess_signal, select_q, spectrum_peak
+from bpnet.preprocess import denoise_window, select_q, spectrum_peak
 from bpnet.recordio import read_csv_record, read_wfdb_record, select_channels
 from bpnet.segmentation import (
     DatasetSplit,
     SegmentationError,
+    Sequences,
     TargetPair,
     build_sequences,
     load_dataset,
@@ -172,7 +173,7 @@ def stage_preprocess(config: PipelineConfig) -> list[str]:
             for channel, src, dst in (("ecg", ecg, ecg_out), ("ppg", ppg, ppg_out)):
                 peak = spectrum_peak(src[lo:hi], config.fs)
                 q = select_q(peak, table)
-                dst[lo:hi] = preprocess_signal(src[lo:hi], config.fs, table)
+                dst[lo:hi] = denoise_window(src[lo:hi], q, table)
                 rows.append(
                     [
                         w, channel, f"{q:.4g}",
@@ -199,7 +200,7 @@ def stage_segment(config: PipelineConfig) -> DatasetSplit:
     names = _record_names(config, "pre", "preprocess")
     out = Path(config.out_dir)
     window = config.window_samples()
-    samples = []
+    parts = []
     for name in names:
         pre_dir = out / "pre" / name
         abp_path = pre_dir / "abp.npy"
@@ -211,14 +212,17 @@ def stage_segment(config: PipelineConfig) -> DatasetSplit:
         for lo in range(0, ecg.size - window + 1, window):
             hi = lo + window
             try:
-                samples += build_sequences(
+                part = build_sequences(
                     ecg[lo:hi], ppg[lo:hi], abp[lo:hi], config.fs, config.m,
                     patient_id=name, index_offset=lo,
                 )
             except SegmentationError:
                 continue  # unusable window; sequences never straddle windows
-    if not samples:
+            if len(part):
+                parts.append(part)
+    if not parts:
         raise DataError("no usable sequences in any window")
+    samples = Sequences.concat(parts)
     split = split_and_standardize(
         samples, (config.split_train, config.split_validation, config.split_test)
     )
@@ -250,12 +254,8 @@ def _train_config(config: PipelineConfig) -> TrainConfig:
 
 
 def _patient_subset(split: DatasetSplit, patient: str) -> DatasetSplit:
-    return DatasetSplit(
-        [s for s in split.train if s.patient_id == patient],
-        [s for s in split.validation if s.patient_id == patient],
-        [s for s in split.test if s.patient_id == patient],
-        split.stats,
-    )
+    parts = (split.train, split.validation, split.test)
+    return DatasetSplit(*(part[part.patient == patient] for part in parts), split.stats)
 
 
 def stage_train(config: PipelineConfig) -> list[str]:
@@ -274,7 +274,7 @@ def stage_train(config: PipelineConfig) -> list[str]:
     else:
         models_dir = out / "models"
         models_dir.mkdir(parents=True, exist_ok=True)
-        patients = sorted({s.patient_id for s in split.train})
+        patients = np.unique(split.train.patient).tolist()
         index_rows = ["patient,model_file"]
         for patient in patients:
             subset = _patient_subset(split, patient)
@@ -318,25 +318,22 @@ def stage_eval(config: PipelineConfig) -> str:
     models = _models_for_eval(config)
     out = Path(config.out_dir)
 
-    def model_key(sample) -> str:
-        return "" if config.pooled else sample.patient_id
-
-    ordered = sorted(split.test, key=lambda s: (s.patient_id, s.start_index))
-    scored = [s for s in ordered if model_key(s) in models]
+    test = split.test[np.lexsort((split.test.start, split.test.patient))]
+    keys = np.full(len(test), "") if config.pooled else test.patient
+    has_model = np.isin(keys, list(models))
+    scored, keys = test[has_model], keys[has_model]
     if not scored:
         raise DataError("no test sequences with a matching model")
     # One batched forward pass per model.
     estimates = np.empty((len(scored), 2))
     for key, model in models.items():
-        idx = [i for i, s in enumerate(scored) if model_key(s) == key]
-        if idx:
-            estimates[idx] = model.predict_batch(np.stack([scored[i].input_array() for i in idx]))
+        mask = keys == key
+        if mask.any():
+            estimates[mask] = model.predict_batch(scored[mask].input_array())
     if not np.all(np.isfinite(estimates)):
         raise ModelError("non-finite prediction")
-    rows = [
-        (s.patient_id, s.start_index, s.targets[-1].sbp, sbp, s.targets[-1].dbp, dbp)
-        for s, (sbp, dbp) in zip(scored, estimates.tolist())
-    ]
+    (sbp_est, dbp_est), (sbp_true, dbp_true) = estimates.T.copy(), scored.target_array()[:, -1].T.copy()
+    rows = zip(scored.patient.tolist(), scored.start.tolist(), sbp_true, sbp_est, dbp_true, dbp_est)
 
     pred_lines = ["patient,start_index,sbp_true,sbp_est,dbp_true,dbp_est"]
     pred_lines += [
@@ -344,10 +341,6 @@ def stage_eval(config: PipelineConfig) -> str:
     ]
     _atomic_text(out / "predictions.csv", "\n".join(pred_lines) + "\n")
 
-    sbp_true = np.array([r[2] for r in rows])
-    sbp_est = np.array([r[3] for r in rows])
-    dbp_true = np.array([r[4] for r in rows])
-    dbp_est = np.array([r[5] for r in rows])
     report = assemble_report(sbp_est, sbp_true, dbp_est, dbp_true)
     text = report.to_text()
     _atomic_text(out / "report.txt", text)

@@ -9,7 +9,6 @@ subbands with a risk-estimate rule, and synthesize the cleaned window.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,48 +162,19 @@ def rigrsure_soft_denoise(subbands: SubbandSet) -> SubbandSet:
     return out
 
 
-def remove_baseline(signal: np.ndarray, params: TqwtParams) -> np.ndarray:
-    """Drop the lowpass residual (DC + baseline wander) and resynthesize."""
+def denoise_window(signal: np.ndarray, q: float, table: FrequencyTable) -> np.ndarray:
+    """Decompose at `q`, zero the lowpass residual, denoise, resynthesize."""
+    params = TqwtParams(q=q, r=table.r, levels=table.level)
     sb = decompose(signal, params)
     sb.lowpass = np.zeros_like(sb.lowpass)
-    return reconstruct(sb, params)
+    return reconstruct(rigrsure_soft_denoise(sb), params)
 
 
-def preprocess_signal(
-    signal: np.ndarray,
-    fs: float,
-    table: FrequencyTable,
-    debug_path=None,
-) -> np.ndarray:
+def preprocess_signal(signal: np.ndarray, fs: float, table: FrequencyTable) -> np.ndarray:
     """Full per-window chain: Q selection, baseline removal, denoising.
 
     Output has the input's length; its mean is driven to (near) zero by
     zeroing the lowpass residual before synthesis.
     """
     x = np.asarray(signal, dtype=float)
-    peak = spectrum_peak(x, fs)
-    q = select_q(peak, table)
-    params = TqwtParams(q=q, r=table.r, levels=table.level)
-    sb = decompose(x, params)
-    sb.lowpass = np.zeros_like(sb.lowpass)
-    sb = rigrsure_soft_denoise(sb)
-    out = reconstruct(sb, params)
-    if debug_path is not None:
-        _write_debug(debug_path, x, fs, q, peak)
-    return out
-
-
-def _write_debug(path, signal: np.ndarray, fs: float, q: float, peak: Optional[FundamentalPeak]) -> None:
-    freqs, mag = _smoothed_spectrum(signal, fs)
-    with open(path, "w", newline="") as fh:
-        if peak is None:
-            fh.write(f"# q={q:.4g} peak_hz= left_end_hz= prominence=\n")
-        else:
-            fh.write(
-                f"# q={q:.4g} peak_hz={peak.frequency_hz:.6g} "
-                f"left_end_hz={peak.left_end_hz:.6g} prominence={peak.prominence:.6g}\n"
-            )
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "normalized_magnitude"])
-        for f, m in zip(freqs, mag):
-            writer.writerow([f"{f:.6g}", f"{m:.6g}"])
+    return denoise_window(x, select_q(spectrum_peak(x, fs), table), table)

@@ -71,7 +71,6 @@ class SignalSpec:
     baseline: int
     units: str
     label: str
-    adc_zero: int = 0
 
     def __post_init__(self) -> None:
         if self.gain == 0:
@@ -98,8 +97,6 @@ class PatientRecord:
     descriptor: RecordDescriptor
     channels: dict[str, np.ndarray]
     unmapped: dict[str, np.ndarray] = field(default_factory=dict)
-    age_group: Optional[str] = None
-    sex: Optional[str] = None
 
     def __post_init__(self) -> None:
         lengths = {arr.size for arr in self.channels.values()}

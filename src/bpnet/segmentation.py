@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import struct
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +34,8 @@ class SampleRejected(ValueError):
     """A single segment failed validation and should be dropped."""
 
 
-@dataclass
-class FeatureVector:
-    ecg_wave: np.ndarray   # 256 resampled ECG samples
-    ppg_wave: np.ndarray   # 256 resampled PPG samples
-    norm_length: float     # raw segment length / 256
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.ecg_wave, self.ppg_wave, [self.norm_length]])
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "FeatureVector":
-        if arr.size != FEATURE_DIM:
-            raise ValueError(f"expected {FEATURE_DIM} features, got {arr.size}")
-        return cls(np.array(arr[:WAVE_POINTS]), np.array(arr[WAVE_POINTS : 2 * WAVE_POINTS]), float(arr[-1]))
+class DatasetError(ValueError):
+    """Malformed or inconsistent BPSEQ1 container or manifest."""
 
 
 @dataclass
@@ -56,30 +43,59 @@ class TargetPair:
     sbp: float
     dbp: float
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.sbp, self.dbp])
 
+@dataclass(eq=False)
+class Sequences:
+    """Sequences of M consecutive two-cycle vectors over one shared row table.
 
-@dataclass
-class SequenceSample:
-    inputs: list[FeatureVector]
-    targets: list[TargetPair]
-    patient_id: str = ""
-    start_index: int = 0
+    Each vector is stored once: row r of ``vectors`` (V, 513) holds its
+    features and row r of ``targets`` (V, 2) its SBP/DBP.  Sequence i is rows
+    ``first[i] ... first[i] + m - 1``; ``first``, ``patient`` and ``start``
+    (the window-relative peak index plus the window offset) hold one entry
+    per sequence.  Indexing with an int, slice, mask or index array selects
+    sequences and keeps sharing the row table; iterating yields one-sequence
+    rows.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.inputs) != len(self.targets):
-            raise ValueError("inputs and targets must have equal length")
+    vectors: np.ndarray
+    targets: np.ndarray
+    first: np.ndarray
+    patient: np.ndarray
+    start: np.ndarray
+    m: int
 
-    @property
-    def m(self) -> int:
-        return len(self.inputs)
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, index) -> "Sequences":
+        return Sequences(
+            self.vectors, self.targets, self.first[index], self.patient[index], self.start[index], self.m
+        )
+
+    def rows(self) -> np.ndarray:
+        """Row indices (..., M) of the selected sequences."""
+        return self.first[..., None] + np.arange(self.m)
 
     def input_array(self) -> np.ndarray:
-        return np.stack([fv.to_array() for fv in self.inputs])
+        """Features gathered to (..., M, 513)."""
+        return self.vectors[self.rows()]
 
     def target_array(self) -> np.ndarray:
-        return np.stack([t.to_array() for t in self.targets])
+        """Targets gathered to (..., M, 2)."""
+        return self.targets[self.rows()]
+
+    @classmethod
+    def concat(cls, parts: list["Sequences"]) -> "Sequences":
+        """One table holding every part's rows and sequences, in order."""
+        offsets = np.cumsum([0] + [len(p.vectors) for p in parts[:-1]])
+        return cls(
+            np.concatenate([p.vectors for p in parts]),
+            np.concatenate([p.targets for p in parts]),
+            np.concatenate([p.first + o for p, o in zip(parts, offsets)]),
+            np.concatenate([p.patient for p in parts]),
+            np.concatenate([p.start for p in parts]),
+            parts[0].m,
+        )
 
 
 @dataclass
@@ -92,9 +108,11 @@ class ChannelStats:
 
 @dataclass
 class DatasetSplit:
-    train: list[SequenceSample]
-    validation: list[SequenceSample]
-    test: list[SequenceSample]
+    """Train, validation and test sequences over one shared row table."""
+
+    train: Sequences
+    validation: Sequences
+    test: Sequences
     stats: ChannelStats
 
 
@@ -239,8 +257,12 @@ def build_feature_vector(
     peak_i: int,
     peak_i2: int,
     fs: float = 125.0,
-) -> FeatureVector:
-    """Two-cycle feature vector over [peak_i, peak_i2); no zero padding."""
+) -> np.ndarray:
+    """Two-cycle feature vector over [peak_i, peak_i2); no zero padding.
+
+    Layout (513,): 256 resampled ECG samples, 256 resampled PPG samples, then
+    the raw segment length / 256.
+    """
     if peak_i2 <= peak_i:
         raise SampleRejected(f"peak order violation: {peak_i} >= {peak_i2}")
     length = peak_i2 - peak_i
@@ -252,11 +274,7 @@ def build_feature_vector(
         raise SampleRejected("segment outside signal bounds")
     ecg_slice = np.asarray(ecg[peak_i:peak_i2], dtype=float)
     ppg_slice = np.asarray(ppg[peak_i:peak_i2], dtype=float)
-    return FeatureVector(
-        resample_to(ecg_slice),
-        resample_to(ppg_slice),
-        length / float(WAVE_POINTS),
-    )
+    return np.concatenate([resample_to(ecg_slice), resample_to(ppg_slice), [length / float(WAVE_POINTS)]])
 
 
 def _span_extrema(seg: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +317,7 @@ def build_sequences(
     m: int,
     patient_id: str = "",
     index_offset: int = 0,
-) -> list[SequenceSample]:
+) -> Sequences:
     """Sliding sequences of M two-cycle vectors, offset by one peak each.
 
     A window with P usable peaks yields P-2 vectors and max(0, P-2-M+1)
@@ -310,34 +328,29 @@ def build_sequences(
     peaks = detect_ppg_peaks(ppg, fs)
     # With fewer than M+2 peaks the sliding count below is simply empty.
 
-    entries: list[Optional[tuple[FeatureVector, TargetPair]]] = []
-    for i in range(peaks.size - 2):
+    n = peaks.size - 2
+    vectors = np.zeros((n, FEATURE_DIM))
+    targets = np.zeros((n, 2))
+    rejected = np.zeros(n, dtype=int)
+    for i in range(n):
         lo, hi = int(peaks[i]), int(peaks[i + 2])
         try:
-            fv = build_feature_vector(ecg, ppg, lo, hi, fs)
+            vectors[i] = build_feature_vector(ecg, ppg, lo, hi, fs)
             tgt = extract_targets(abp, fs, (lo, hi))
-            entries.append((fv, tgt))
+            targets[i] = tgt.sbp, tgt.dbp
         except SampleRejected:
-            entries.append(None)
+            rejected[i] = 1
 
-    sequences = []
-    for s in range(len(entries) - m + 1):
-        window = entries[s : s + m]
-        if any(e is None for e in window):
-            continue
-        sequences.append(
-            SequenceSample(
-                inputs=[e[0] for e in window],
-                targets=[e[1] for e in window],
-                patient_id=patient_id,
-                start_index=index_offset + int(peaks[s]),
-            )
-        )
-    return sequences
+    # Start s is valid when rows s .. s+m-1 hold no rejected vector.
+    bad = np.concatenate([[0], np.cumsum(rejected)])
+    first = np.nonzero(bad[m:] == bad[: max(n - m + 1, 0)])[0]
+    return Sequences(
+        vectors, targets, first, np.full(first.size, patient_id), index_offset + peaks[first], m
+    )
 
 
 def split_and_standardize(
-    samples: list[SequenceSample],
+    samples: Sequences,
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2),
     min_sequences: int = 10,
 ) -> DatasetSplit:
@@ -346,66 +359,63 @@ def split_and_standardize(
     Per patient, the earliest 70% of sequences train, the next 10% validate,
     and the rest test; ECG and PPG sub-vectors are scaled by scalar mean/std
     computed on the training partition only.  norm_length and targets stay in
-    natural units.
+    natural units.  The row table of `samples` is standardized in place and
+    shared by the three partitions.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {fractions}")
-    by_patient: dict[str, list[SequenceSample]] = {}
-    for sample in samples:
-        by_patient.setdefault(sample.patient_id, []).append(sample)
-
-    train: list[SequenceSample] = []
-    validation: list[SequenceSample] = []
-    test: list[SequenceSample] = []
-    for patient in sorted(by_patient):
-        ordered = sorted(by_patient[patient], key=lambda s: s.start_index)
-        n = len(ordered)
+    order = np.lexsort((samples.start, samples.patient))
+    patients, begins, counts = np.unique(samples.patient[order], return_index=True, return_counts=True)
+    train: list[np.ndarray] = []
+    validation: list[np.ndarray] = []
+    test: list[np.ndarray] = []
+    for patient, lo, n in zip(patients, begins, counts):
         if n < min_sequences:
-            warnings.warn(f"patient {patient!r} has only {n} sequences; excluded", stacklevel=2)
+            warnings.warn(f"patient {str(patient)!r} has only {n} sequences; excluded", stacklevel=2)
             continue
+        ordered = order[lo : lo + n]
         n_train = int(fractions[0] * n)
         n_val = int(fractions[1] * n)
-        train.extend(ordered[:n_train])
-        validation.extend(ordered[n_train : n_train + n_val])
-        test.extend(ordered[n_train + n_val :])
+        train.append(ordered[:n_train])
+        validation.append(ordered[n_train : n_train + n_val])
+        test.append(ordered[n_train + n_val :])
 
     if not train:
         raise SegmentationError("no patients with enough sequences to split")
+    train, validation, test = (samples[np.concatenate(idx)] for idx in (train, validation, test))
 
-    ecg_all = np.concatenate([fv.ecg_wave for s in train for fv in s.inputs])
-    ppg_all = np.concatenate([fv.ppg_wave for s in train for fv in s.inputs])
-    stats = ChannelStats(
-        float(np.mean(ecg_all)),
-        float(np.std(ecg_all)) or 1.0,
-        float(np.mean(ppg_all)),
-        float(np.std(ppg_all)) or 1.0,
-    )
-
-    def standardized(split: list[SequenceSample]) -> list[SequenceSample]:
-        out = []
-        for s in split:
-            inputs = [
-                FeatureVector(
-                    (fv.ecg_wave - stats.ecg_mean) / stats.ecg_std,
-                    (fv.ppg_wave - stats.ppg_mean) / stats.ppg_std,
-                    fv.norm_length,
-                )
-                for fv in s.inputs
-            ]
-            out.append(SequenceSample(inputs, list(s.targets), s.patient_id, s.start_index))
-        return out
-
-    return DatasetSplit(standardized(train), standardized(validation), standardized(test), stats)
+    # Moments over the train sequences' rows in sequence order, a row counted
+    # once per sequence that holds it.
+    rows = train.rows()
+    moments = []
+    for lo in (0, WAVE_POINTS):
+        channel = samples.vectors[:, lo : lo + WAVE_POINTS][rows].ravel()
+        moments += [float(np.mean(channel)), float(np.std(channel)) or 1.0]
+        del channel  # freed before the next channel is gathered
+    stats = ChannelStats(*moments)
+    standardize_features(samples.vectors, stats)
+    return DatasetSplit(train, validation, test, stats)
 
 
 def standardize_features(arr: np.ndarray, stats: ChannelStats) -> np.ndarray:
-    """Apply train-set channel statistics to raw feature rows (..., 513)."""
-    out = np.array(arr, dtype=float)
-    out[..., :WAVE_POINTS] = (out[..., :WAVE_POINTS] - stats.ecg_mean) / stats.ecg_std
-    out[..., WAVE_POINTS : 2 * WAVE_POINTS] = (
-        out[..., WAVE_POINTS : 2 * WAVE_POINTS] - stats.ppg_mean
-    ) / stats.ppg_std
-    return out
+    """Apply train-set channel statistics to feature rows (..., 513) in place."""
+    for lo, mean, std in ((0, stats.ecg_mean, stats.ecg_std), (WAVE_POINTS, stats.ppg_mean, stats.ppg_std)):
+        wave = arr[..., lo : lo + WAVE_POINTS]
+        wave -= mean
+        wave /= std
+    return arr
+
+
+SPLIT_NAMES = ("train", "validation", "test")
+# Magic, uint32 sequence count / M / feature dim, four float64 channel statistics.
+DATASET_HEADER = struct.Struct("<6s3I4d")
+MANIFEST_COLUMNS = ["patient", "start_index", "split"]
+SAVE_CHUNK = 256  # sequences gathered and converted per write
+
+
+def _record_dtype(m: int) -> np.dtype:
+    """One sequence's BPSEQ1 block: M x 513 features, then M x 2 targets."""
+    return np.dtype([("x", "<f4", (m, FEATURE_DIM)), ("y", "<f4", (m, 2))])
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
@@ -417,73 +427,89 @@ def save_dataset(split: DatasetSplit, path) -> None:
     train, validation, test order.  The manifest lists (patient, start index,
     split) per sequence in file order.
     """
-    ordered = [("train", s) for s in split.train]
-    ordered += [("validation", s) for s in split.validation]
-    ordered += [("test", s) for s in split.test]
-    if not ordered:
+    parts = [(name, getattr(split, name)) for name in SPLIT_NAMES]
+    count = sum(len(part) for _, part in parts)
+    if not count:
         raise ValueError("empty dataset")
-    m = ordered[0][1].m
-    if any(s.m != m for _, s in ordered):
+    m = split.train.m
+    if any(part.m != m for _, part in parts):
         raise ValueError("mixed sequence lengths in dataset")
 
+    s = split.stats
     with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<III", len(ordered), m, FEATURE_DIM))
-        fh.write(
-            struct.pack(
-                "<dddd", split.stats.ecg_mean, split.stats.ecg_std,
-                split.stats.ppg_mean, split.stats.ppg_std,
-            )
-        )
-        for _, sample in ordered:
-            fh.write(sample.input_array().astype("<f4").tobytes())
-            fh.write(sample.target_array().astype("<f4").tobytes())
+        fh.write(DATASET_HEADER.pack(
+            DATASET_MAGIC, count, m, FEATURE_DIM, s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std
+        ))
+        for _, part in parts:
+            for lo in range(0, len(part), SAVE_CHUNK):
+                block = part[lo : lo + SAVE_CHUNK]
+                records = np.empty(len(block), _record_dtype(m))
+                records["x"] = block.input_array()
+                records["y"] = block.target_array()
+                fh.write(records.tobytes())
 
     manifest = str(path) + ".manifest.csv"
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["patient", "start_index", "split"])
-        for name, sample in ordered:
-            writer.writerow([sample.patient_id, sample.start_index, name])
+        writer.writerow(MANIFEST_COLUMNS)
+        for name, part in parts:
+            writer.writerows(
+                (patient, start, name) for patient, start in zip(part.patient.tolist(), part.start.tolist())
+            )
 
 
 def load_dataset(path) -> DatasetSplit:
-    """Read a BPSEQ1 container written by :func:`save_dataset`."""
+    """Read a BPSEQ1 container written by :func:`save_dataset`.
+
+    A malformed container or manifest raises DatasetError.  Each sequence
+    gets its own M rows in the returned table.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"bad dataset magic {magic!r}")
-        count, m, dim = struct.unpack("<III", fh.read(12))
-        if dim != FEATURE_DIM:
-            raise ValueError(f"unsupported feature dim {dim}")
-        stats = ChannelStats(*struct.unpack("<dddd", fh.read(32)))
-        payload = fh.read()
+        data = fh.read()
+    if data[:6] != DATASET_MAGIC:
+        raise DatasetError(f"bad dataset magic {data[:6]!r}")
+    if len(data) < DATASET_HEADER.size:
+        raise DatasetError(f"truncated dataset header: {len(data)} of {DATASET_HEADER.size} bytes")
+    _, count, m, dim, *moments = DATASET_HEADER.unpack_from(data)
+    if dim != FEATURE_DIM:
+        raise DatasetError(f"unsupported feature dim {dim}")
+    if count < 1 or m < 1:
+        raise DatasetError(f"dataset declares {count} sequences of M={m}")
+    payload = len(data) - DATASET_HEADER.size
+    expected = count * m * (FEATURE_DIM + 2) * 4
+    if payload != expected:
+        raise DatasetError(f"dataset payload is {payload} bytes, {count} sequences of M={m} need {expected}")
 
-    per_seq = (m * dim + m * 2) * 4
-    if len(payload) < count * per_seq:
-        raise ValueError("truncated dataset payload")
-
-    rows = []
     manifest = str(path) + ".manifest.csv"
-    with open(manifest, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if len(rows) != count:
-        raise ValueError("manifest row count does not match dataset")
+    try:
+        with open(manifest, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except FileNotFoundError:
+        raise DatasetError(f"missing dataset manifest {manifest}") from None
+    if header != MANIFEST_COLUMNS:
+        raise DatasetError(f"manifest columns {header}, expected {MANIFEST_COLUMNS}")
+    if len(rows) != count or any(len(row) != 3 for row in rows):
+        raise DatasetError(f"manifest has {len(rows)} rows for {count} sequences")
+    patient, start, names = zip(*rows)
+    unknown = set(names) - set(SPLIT_NAMES)
+    if unknown:
+        raise DatasetError(f"unknown split name(s) {sorted(unknown)} in manifest")
+    try:
+        start = np.array(start, dtype=int)
+    except ValueError:
+        raise DatasetError("non-integer start index in manifest") from None
 
-    splits: dict[str, list[SequenceSample]] = {"train": [], "validation": [], "test": []}
-    offset = 0
-    for row in rows:
-        block = np.frombuffer(payload, dtype="<f4", count=m * dim, offset=offset)
-        offset += m * dim * 4
-        targets = np.frombuffer(payload, dtype="<f4", count=m * 2, offset=offset)
-        offset += m * 2 * 4
-        features = block.reshape(m, dim).astype(float)
-        tgt = targets.reshape(m, 2).astype(float)
-        sample = SequenceSample(
-            inputs=[FeatureVector.from_array(features[t]) for t in range(m)],
-            targets=[TargetPair(float(tgt[t, 0]), float(tgt[t, 1])) for t in range(m)],
-            patient_id=row["patient"],
-            start_index=int(row["start_index"]),
-        )
-        splits[row["split"]].append(sample)
-    return DatasetSplit(splits["train"], splits["validation"], splits["test"], stats)
+    records = np.frombuffer(data, _record_dtype(m), offset=DATASET_HEADER.size)
+    table = Sequences(
+        records["x"].astype(float).reshape(count * m, dim),
+        records["y"].astype(float).reshape(count * m, 2),
+        np.arange(count) * m,
+        np.array(patient, dtype=str),
+        start,
+        m,
+    )
+    names = np.array(names)
+    train, validation, test = (table[names == name] for name in SPLIT_NAMES)
+    return DatasetSplit(train, validation, test, ChannelStats(*moments))

@@ -42,7 +42,6 @@ from bpnet.pipeline import (
     stage_segment,
     stage_train,
 )
-from bpnet.segmentation import ChannelStats, DatasetSplit, FeatureVector, SequenceSample, TargetPair
 from bpnet.synthetic import SyntheticConfig, generate
 from bpnet.tqwt import TqwtParams, decompose, reconstruct, subband_frequencies
 

@@ -152,3 +152,77 @@ def test_eval_non_finite_estimate_exits_2(tmp_path, synth_csv, capsys):
     save_model(trained, model_path)
     assert main(["eval", "--config", str(cfg)]) == 2
     assert "non-finite prediction" in capsys.readouterr().err
+
+
+def _segmented_run(tmp_path, synth_csv):
+    cfg = _write_config(tmp_path, synth_csv)
+    for stage in ("ingest", "preprocess", "segment"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    return cfg, tmp_path / "out" / "dataset.bpseq"
+
+
+def test_train_on_garbage_dataset_exits_2(tmp_path, synth_csv, capsys):
+    cfg, path = _segmented_run(tmp_path, synth_csv)
+    path.write_bytes(b"not a dataset" * 10)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "bad dataset magic" in capsys.readouterr().err
+
+
+def test_train_on_truncated_dataset_header_exits_2(tmp_path, synth_csv, capsys):
+    cfg, path = _segmented_run(tmp_path, synth_csv)
+    path.write_bytes(path.read_bytes()[:30])
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "truncated dataset header" in capsys.readouterr().err
+
+
+def test_train_on_unknown_split_name_exits_2(tmp_path, synth_csv, capsys):
+    cfg, path = _segmented_run(tmp_path, synth_csv)
+    manifest = path.with_name(path.name + ".manifest.csv")
+    manifest.write_text(manifest.read_text().replace(",train\n", ",bogus\n", 1))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_train_on_dataset_with_trailing_bytes_exits_2(tmp_path, synth_csv, capsys):
+    cfg, path = _segmented_run(tmp_path, synth_csv)
+    path.write_bytes(path.read_bytes() + bytes(100))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "payload" in capsys.readouterr().err
+
+
+def test_per_patient_models_route_test_sequences(tmp_path):
+    from bpnet.model import load_model
+    from bpnet.segmentation import load_dataset
+
+    data = tmp_path / "data"
+    for name, seed, rate in (("pa", 4, "70"), ("pb", 5, "84")):
+        assert main(["synth", "--out", str(data / f"{name}.csv"), "--duration", "70",
+                     "--seed", str(seed), "--heart-rate", rate]) == 0
+    cfg = _write_config(tmp_path, data, extra="train.pooled = false\n")
+    for stage in ("ingest", "preprocess", "segment", "train", "eval", "track"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    out = tmp_path / "out"
+    assert not (out / "model.bpnet").exists()
+    index = (out / "models" / "index.csv").read_text().splitlines()
+    assert index == ["patient,model_file", "pa,pa.bpnet", "pb,pb.bpnet"]
+
+    split = load_dataset(out / "dataset.bpseq")
+
+    def expected_lines(patient):
+        test = split.test[split.test.patient == patient]
+        test = test[np.argsort(test.start)]
+        est = load_model(out / "models" / f"{patient}.bpnet").predict_batch(test.input_array())
+        truth = test.target_array()[:, -1]
+        return [
+            f"{patient},{i},{t[0]:.4f},{e[0]:.4f},{t[1]:.4f},{e[1]:.4f}"
+            for i, t, e in zip(test.start.tolist(), truth, est)
+        ]
+
+    both = expected_lines("pa") + expected_lines("pb")
+    predictions = (out / "predictions.csv").read_text().splitlines()
+    assert predictions[1:] == both and len(both) == len(split.test)
+
+    # A patient without a model is left out of the evaluation.
+    (out / "models" / "index.csv").write_text("patient,model_file\npb,pb.bpnet\n")
+    assert main(["eval", "--config", str(cfg)]) == 0
+    assert (out / "predictions.csv").read_text().splitlines()[1:] == expected_lines("pb")

@@ -25,7 +25,7 @@ from bpnet.model import (
     save_model,
     train,
 )
-from bpnet.segmentation import ChannelStats, DatasetSplit, FeatureVector, SequenceSample, TargetPair
+from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit, Sequences
 
 
 def _tiny_params(seed=0, hidden=4, input_dim=5):
@@ -319,14 +319,10 @@ class TestAdam:
 
 
 def _toy_dataset(rng, count=8, m=4, input_dim=5):
-    samples = []
-    for i in range(count):
-        inputs = [
-            FeatureVector(rng.standard_normal(256), rng.standard_normal(256), 1.0)
-            for _ in range(m)
-        ]
-        targets = [TargetPair(float(rng.uniform(100, 140)), float(rng.uniform(60, 90))) for _ in range(m)]
-        samples.append(SequenceSample(inputs, targets, "p", i))
+    vectors = np.ones((count * m, FEATURE_DIM))
+    vectors[:, :512] = rng.standard_normal((count * m, 512))
+    targets = np.column_stack([rng.uniform(100, 140, count * m), rng.uniform(60, 90, count * m)])
+    samples = Sequences(vectors, targets, np.arange(count) * m, np.full(count, "p"), np.arange(count), m)
     stats = ChannelStats(0.0, 1.0, 0.0, 1.0)
     return DatasetSplit(samples, samples, samples, stats)
 
@@ -359,7 +355,7 @@ class TestTrain:
 
     def test_empty_partition_rejected(self, rng):
         dataset = _toy_dataset(rng)
-        empty = DatasetSplit([], dataset.validation, dataset.test, dataset.stats)
+        empty = DatasetSplit(dataset.train[:0], dataset.validation, dataset.test, dataset.stats)
         with pytest.raises(ModelError, match="non-empty"):
             train(empty, TrainConfig())
 

@@ -5,8 +5,8 @@ from bpnet.preprocess import (
     FALLBACK_Q,
     FundamentalPeak,
     PreprocessError,
+    denoise_window,
     preprocess_signal,
-    remove_baseline,
     rigrsure_soft_denoise,
     select_q,
     soft_shrink,
@@ -227,7 +227,9 @@ def test_baseline_removal_idempotent(q_table):
     out = preprocess_signal(x, FS, q_table)
     q = select_q(spectrum_peak(out, FS), q_table)
     params = TqwtParams(q=q, r=q_table.r, levels=q_table.level)
-    again = remove_baseline(out, params)
+    sb = decompose(out, params)
+    sb.lowpass = np.zeros_like(sb.lowpass)
+    again = reconstruct(sb, params)
     rel = np.sqrt(np.mean((again - out) ** 2)) / np.sqrt(np.mean(out**2))
     assert rel <= 0.01
 
@@ -254,15 +256,14 @@ def test_baseline_estimate_linearity(q_table, rng):
 def test_zeroed_lowpass_removes_mean(q_table, rng):
     x = rng.standard_normal(2048) + 5.0
     params = TqwtParams(q=1.08, r=3.0, levels=10)
-    out = remove_baseline(x, params)
+    sb = decompose(x, params)
+    sb.lowpass = np.zeros_like(sb.lowpass)
+    out = reconstruct(sb, params)
     assert abs(np.mean(out)) <= 1e-3 * np.sqrt(np.mean(x**2))
 
 
-def test_debug_dump(q_table, tmp_path):
-    x = _sine(1.5, 2048)
-    debug = tmp_path / "window0.csv"
-    preprocess_signal(x, FS, q_table, debug_path=debug)
-    lines = debug.read_text().splitlines()
-    assert lines[0].startswith("# q=")
-    assert lines[1] == "frequency_hz,normalized_magnitude"
-    assert len(lines) > 100
+
+def test_preprocess_signal_is_denoise_at_selected_q(q_table):
+    x = _sine(1.3, 2048) + _sine(0.05, 2048, amp=0.7)
+    q = select_q(spectrum_peak(x, FS), q_table)
+    assert np.array_equal(preprocess_signal(x, FS, q_table), denoise_window(x, q, q_table))

@@ -1,13 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bpnet.segmentation import (
     FEATURE_DIM,
-    FeatureVector,
+    DatasetError,
     SampleRejected,
     SegmentationError,
-    SequenceSample,
-    TargetPair,
+    Sequences,
     build_feature_vector,
     build_sequences,
     detect_ppg_peaks,
@@ -109,26 +112,27 @@ class TestFeatureVector:
         ecg = np.sin(np.arange(600) * 0.04)
         ppg = np.cos(np.arange(600) * 0.03)
         fv = build_feature_vector(ecg, ppg, 100, 356, FS)
-        assert np.max(np.abs(fv.ecg_wave - ecg[100:356])) <= 1e-12
-        assert np.max(np.abs(fv.ppg_wave - ppg[100:356])) <= 1e-12
-        assert fv.norm_length == pytest.approx(1.0)
+        assert fv.shape == (FEATURE_DIM,)
+        assert np.max(np.abs(fv[:256] - ecg[100:356])) <= 1e-12
+        assert np.max(np.abs(fv[256:512] - ppg[100:356])) <= 1e-12
+        assert fv[-1] == pytest.approx(1.0)
 
     def test_linear_ramp_preserved(self):
         ramp = np.linspace(0.0, 1.0, 300)
         fv = build_feature_vector(ramp, ramp, 0, 300, FS)
         expected = np.linspace(0.0, 1.0, 256)
-        assert np.max(np.abs(fv.ecg_wave - expected)) <= 1e-9
+        assert np.max(np.abs(fv[:256] - expected)) <= 1e-9
 
     def test_norm_length_arithmetic(self):
         ecg = np.zeros(400)
         fv = build_feature_vector(ecg, ecg, 50, 300, FS)
-        assert fv.norm_length == pytest.approx(250.0 / 256.0)
+        assert fv[-1] == pytest.approx(250.0 / 256.0)
 
     def test_endpoints_preserved(self, rng):
         x = rng.standard_normal(500)
         fv = build_feature_vector(x, x, 17, 417, FS)
-        assert fv.ecg_wave[0] == pytest.approx(x[17], abs=1e-12)
-        assert fv.ecg_wave[-1] == pytest.approx(x[416], abs=1e-12)
+        assert fv[0] == pytest.approx(x[17], abs=1e-12)
+        assert fv[255] == pytest.approx(x[416], abs=1e-12)
 
     def test_rejects_short_and_long(self):
         x = np.zeros(3000)
@@ -136,14 +140,6 @@ class TestFeatureVector:
             build_feature_vector(x, x, 0, 10, FS)
         with pytest.raises(SampleRejected, match="longer"):
             build_feature_vector(x, x, 0, int(10 * FS) + 1, FS)
-
-    def test_array_roundtrip(self, rng):
-        fv = FeatureVector(rng.standard_normal(256), rng.standard_normal(256), 0.9)
-        arr = fv.to_array()
-        assert arr.size == FEATURE_DIM
-        back = FeatureVector.from_array(arr)
-        assert np.array_equal(back.ecg_wave, fv.ecg_wave)
-        assert back.norm_length == fv.norm_length
 
 
 class TestTargets:
@@ -213,7 +209,7 @@ class TestSequences:
         # Raw segment lengths track the peak spacing; consecutive vectors
         # share two of their three anchor peaks.
         for seq in seqs:
-            lengths = [fv.norm_length * 256 for fv in seq.inputs]
+            lengths = seq.input_array()[:, -1] * 256
             spans = np.diff(peaks)
             for j, ln in enumerate(lengths):
                 assert any(
@@ -223,21 +219,43 @@ class TestSequences:
     def test_start_indices_strictly_increase(self):
         ecg, ppg, abp = _aligned_triple(16)
         seqs = build_sequences(ecg, ppg, abp, FS, 4, patient_id="p")
-        starts = [s.start_index for s in seqs]
+        starts = [int(s.start) for s in seqs]
         assert all(b > a for a, b in zip(starts, starts[1:]))
 
 
+class TestRejectedVectors:
+    def test_rejected_vector_drops_its_sequences(self):
+        ecg, ppg, abp = _aligned_triple(20)
+        peaks = detect_ppg_peaks(ppg, FS)
+        abp[peaks[9] : peaks[10]] = 400.0  # implausible pressure inside two-cycle spans
+        m = 3
+        seqs = build_sequences(ecg, ppg, abp, FS, m, patient_id="p", index_offset=1000)
+        # Reference: the per-vector loop over every candidate start.
+        ok = []
+        for i in range(peaks.size - 2):
+            try:
+                build_feature_vector(ecg, ppg, peaks[i], peaks[i + 2], FS)
+                extract_targets(abp, FS, (peaks[i], peaks[i + 2]))
+                ok.append(True)
+            except SampleRejected:
+                ok.append(False)
+        starts = [s for s in range(len(ok) - m + 1) if all(ok[s : s + m])]
+        assert not all(ok) and starts
+        assert seqs.first.tolist() == starts
+        assert seqs.start.tolist() == [1000 + int(peaks[s]) for s in starts]
+        assert set(seqs.patient.tolist()) == {"p"}
+
+
 def _toy_samples(count, patient="p0", m=4, start=0, rng=None):
+    """`count` sequences of one patient, sliding by one row as in a window."""
     rng = rng or np.random.default_rng(0)
-    out = []
-    for i in range(count):
-        inputs = [
-            FeatureVector(rng.standard_normal(256) * 2 + 1.0, rng.standard_normal(256) * 3 - 0.5, 0.9)
-            for _ in range(m)
-        ]
-        targets = [TargetPair(120.0 + rng.normal(), 80.0 + rng.normal()) for _ in range(m)]
-        out.append(SequenceSample(inputs, targets, patient, start + i))
-    return out
+    rows = count + m - 1
+    vectors = np.empty((rows, FEATURE_DIM))
+    vectors[:, :256] = rng.standard_normal((rows, 256)) * 2 + 1.0
+    vectors[:, 256:512] = rng.standard_normal((rows, 256)) * 3 - 0.5
+    vectors[:, -1] = 0.9
+    targets = np.column_stack([120.0 + rng.normal(size=rows), 80.0 + rng.normal(size=rows)])
+    return Sequences(vectors, targets, np.arange(count), np.full(count, patient), start + np.arange(count), m)
 
 
 class TestSplit:
@@ -247,8 +265,8 @@ class TestSplit:
 
     def test_train_standardized_to_unit_moments(self):
         split = split_and_standardize(_toy_samples(50))
-        ecg_all = np.concatenate([fv.ecg_wave for s in split.train for fv in s.inputs])
-        ppg_all = np.concatenate([fv.ppg_wave for s in split.train for fv in s.inputs])
+        x = split.train.input_array()
+        ecg_all, ppg_all = x[..., :256], x[..., 256:512]
         assert abs(np.mean(ecg_all)) <= 1e-9
         assert abs(np.std(ecg_all) - 1.0) <= 1e-9
         assert abs(np.mean(ppg_all)) <= 1e-9
@@ -257,41 +275,94 @@ class TestSplit:
     def test_validation_uses_train_statistics(self):
         rng = np.random.default_rng(1)
         samples = _toy_samples(50, rng=rng)
-        # Shift the later (validation/test) samples so their own moments differ.
-        for s in samples[35:]:
-            for fv in s.inputs:
-                fv.ecg_wave += 4.0
+        # Shift the rows only validation/test sequences hold so their own moments differ.
+        samples.vectors[samples.first[35] + samples.m - 1 :, :256] += 4.0
         split = split_and_standardize(samples)
-        val_ecg = np.concatenate([fv.ecg_wave for s in split.validation for fv in s.inputs])
+        val_ecg = split.validation.input_array()[..., :256]
         assert abs(np.mean(val_ecg)) > 0.5  # standardized with train stats, not its own
 
     def test_chronological_no_leakage(self):
         samples = _toy_samples(60, start=0)
         split = split_and_standardize(samples)
-        train_max = max(s.start_index for s in split.train)
-        val_idx = [s.start_index for s in split.validation]
-        test_min = min(s.start_index for s in split.test)
+        train_max = max(split.train.start)
+        val_idx = split.validation.start
+        test_min = min(split.test.start)
         assert train_max < min(val_idx)
         assert max(val_idx) < test_min
 
     def test_small_patient_excluded_with_warning(self):
-        samples = _toy_samples(40, patient="big") + _toy_samples(5, patient="tiny", start=1000)
+        samples = Sequences.concat([_toy_samples(40, patient="big"), _toy_samples(5, patient="tiny", start=1000)])
         with pytest.warns(UserWarning, match="tiny"):
             split = split_and_standardize(samples)
-        patients = {s.patient_id for s in split.train + split.validation + split.test}
+        patients = set(np.concatenate([split.train.patient, split.validation.patient, split.test.patient]))
         assert patients == {"big"}
 
     def test_norm_length_and_targets_untouched(self):
         samples = _toy_samples(20)
-        raw_norm = samples[0].inputs[0].norm_length
-        raw_sbp = samples[0].targets[0].sbp
+        raw_norm = samples[0].input_array()[0, -1]
+        raw_sbp = samples[0].target_array()[0, 0]
         split = split_and_standardize(samples)
-        assert split.train[0].inputs[0].norm_length == raw_norm
-        assert split.train[0].targets[0].sbp == raw_sbp
+        assert split.train[0].input_array()[0, -1] == raw_norm
+        assert split.train[0].target_array()[0, 0] == raw_sbp
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             split_and_standardize(_toy_samples(20), fractions=(0.5, 0.2, 0.2))
+
+
+class TestSequencesTable:
+    def test_rows_shared_by_overlapping_sequences(self):
+        seqs = _toy_samples(6, m=3)
+        x = seqs.input_array()
+        assert x.shape == (6, 3, FEATURE_DIM)
+        assert seqs.target_array().shape == (6, 3, 2)
+        # Sequence i+1 starts one row after sequence i.
+        assert np.array_equal(x[1:, :-1], x[:-1, 1:])
+
+    def test_iteration_and_slicing(self):
+        seqs = _toy_samples(6, m=3, start=40)
+        rows = list(seqs)
+        assert len(rows) == len(seqs) == 6
+        assert np.array_equal(rows[2].input_array(), seqs.input_array()[2])
+        assert rows[2].input_array().shape == (3, FEATURE_DIM)
+        assert int(rows[2].start) == 42 and str(rows[2].patient) == "p0"
+        tail = seqs[3:]
+        assert len(tail) == 3 and tail.vectors is seqs.vectors
+        picked = seqs[np.array([5, 0])]
+        assert np.array_equal(picked.start, [45, 40])
+        masked = seqs[seqs.start % 2 == 0]
+        assert np.array_equal(masked.input_array(), seqs.input_array()[::2])
+
+    def test_concat_offsets_rows(self):
+        a, b = _toy_samples(3, patient="a", m=2), _toy_samples(4, patient="b", m=2, rng=np.random.default_rng(5))
+        both = Sequences.concat([a, b])
+        assert len(both) == 7
+        assert np.array_equal(both.input_array(), np.concatenate([a.input_array(), b.input_array()]))
+        assert list(both.patient) == ["a"] * 3 + ["b"] * 4
+
+    def test_shared_rows_standardized_once(self):
+        samples = _toy_samples(50)
+        raw = samples.input_array().copy()
+        split = split_and_standardize(samples)
+        s = split.stats
+        for part in (split.train, split.validation, split.test):
+            assert part.vectors is samples.vectors
+        expected = raw.copy()
+        expected[..., :256] = (raw[..., :256] - s.ecg_mean) / s.ecg_std
+        expected[..., 256:512] = (raw[..., 256:512] - s.ppg_mean) / s.ppg_std
+        assert np.array_equal(samples.input_array(), expected)
+
+
+def _reference_bpseq(split) -> bytes:
+    """BPSEQ1 bytes written one sequence at a time, as the format describes."""
+    ordered = list(split.train) + list(split.validation) + list(split.test)
+    s = split.stats
+    out = [b"BPSEQ1", struct.pack("<III", len(ordered), split.train.m, FEATURE_DIM)]
+    out.append(struct.pack("<dddd", s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std))
+    for seq in ordered:
+        out.append(seq.input_array().astype("<f4").tobytes())
+        out.append(seq.target_array().astype("<f4").tobytes())
+    return b"".join(out)
 
 
 class TestDatasetFile:
@@ -310,7 +381,106 @@ class TestDatasetFile:
         back = loaded.train[3].input_array()
         assert np.max(np.abs(orig - back)) <= 1e-5 * max(1.0, np.max(np.abs(orig)))
 
+    def test_bytes_match_reference_writer(self, tmp_path):
+        # 420 train sequences: more than one write chunk.
+        samples = Sequences.concat([_toy_samples(400, patient="a"), _toy_samples(200, patient="b", start=7)])
+        split = split_and_standardize(samples)
+        path = tmp_path / "data.bpseq"
+        save_dataset(split, path)
+        assert path.read_bytes() == _reference_bpseq(split)
+        manifest = (tmp_path / "data.bpseq.manifest.csv").read_text().splitlines()
+        assert manifest[0] == "patient,start_index,split"
+        assert manifest[1] == f"a,{int(split.train.start[0])},train"
+        assert len(manifest) == 1 + 600
+
+    def test_loaded_split_round_trips_bytes(self, tmp_path):
+        split = split_and_standardize(_toy_samples(30))
+        save_dataset(split, tmp_path / "a.bpseq")
+        loaded = load_dataset(tmp_path / "a.bpseq")
+        assert np.array_equal(loaded.test.start, split.test.start)
+        save_dataset(loaded, tmp_path / "b.bpseq")
+        assert (tmp_path / "a.bpseq").read_bytes() == (tmp_path / "b.bpseq").read_bytes()
+
     def test_resample_helper_identity(self, rng):
         x = rng.standard_normal(256)
         assert np.array_equal(resample_to(x), x)
         assert resample_to(x) is not x
+
+
+@pytest.fixture
+def saved_dataset(tmp_path):
+    path = tmp_path / "data.bpseq"
+    save_dataset(split_and_standardize(_toy_samples(30)), path)
+    return path
+
+
+class TestDatasetErrors:
+    def test_bad_magic(self, saved_dataset):
+        saved_dataset.write_bytes(b"garbage" * 20)
+        with pytest.raises(DatasetError, match="magic"):
+            load_dataset(saved_dataset)
+
+    def test_truncated_header(self, saved_dataset):
+        saved_dataset.write_bytes(saved_dataset.read_bytes()[:30])
+        with pytest.raises(DatasetError, match="header"):
+            load_dataset(saved_dataset)
+
+    def test_short_payload(self, saved_dataset):
+        saved_dataset.write_bytes(saved_dataset.read_bytes()[:-4])
+        with pytest.raises(DatasetError, match="payload"):
+            load_dataset(saved_dataset)
+
+    def test_trailing_payload(self, saved_dataset):
+        saved_dataset.write_bytes(saved_dataset.read_bytes() + bytes(100))
+        with pytest.raises(DatasetError, match="payload"):
+            load_dataset(saved_dataset)
+
+    def test_feature_dim(self, saved_dataset):
+        data = bytearray(saved_dataset.read_bytes())
+        data[14:18] = struct.pack("<I", 512)
+        saved_dataset.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="feature dim"):
+            load_dataset(saved_dataset)
+
+    def test_huge_sequence_length(self, saved_dataset):
+        data = bytearray(saved_dataset.read_bytes())
+        data[10:14] = struct.pack("<I", 2**32 - 1)
+        saved_dataset.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="payload"):
+            load_dataset(saved_dataset)
+
+    def test_zero_sequences(self, saved_dataset):
+        data = bytearray(saved_dataset.read_bytes()[: struct.calcsize("<6s3I4d")])
+        data[6:10] = struct.pack("<I", 0)
+        saved_dataset.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="declares 0 sequences"):
+            load_dataset(saved_dataset)
+
+    def test_manifest_row_count(self, saved_dataset):
+        manifest = saved_dataset.with_name(saved_dataset.name + ".manifest.csv")
+        manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(DatasetError, match="rows"):
+            load_dataset(saved_dataset)
+
+    def test_unknown_split_name(self, saved_dataset):
+        manifest = saved_dataset.with_name(saved_dataset.name + ".manifest.csv")
+        manifest.write_text(manifest.read_text().replace(",test\n", ",bogus\n", 1))
+        with pytest.raises(DatasetError, match="bogus"):
+            load_dataset(saved_dataset)
+
+    def test_missing_manifest(self, saved_dataset):
+        saved_dataset.with_name(saved_dataset.name + ".manifest.csv").unlink()
+        with pytest.raises(DatasetError, match="manifest"):
+            load_dataset(saved_dataset)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_any_truncation_raises(self, saved_dataset, cut):
+        data = saved_dataset.read_bytes()
+        truncated = saved_dataset.with_name("cut.bpseq")
+        truncated.write_bytes(data[: int(cut * len(data))])
+        truncated.with_name("cut.bpseq.manifest.csv").write_bytes(
+            saved_dataset.with_name(saved_dataset.name + ".manifest.csv").read_bytes()
+        )
+        with pytest.raises(DatasetError):
+            load_dataset(truncated)
