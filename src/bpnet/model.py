@@ -411,19 +411,18 @@ def train(
 ) -> tuple[ModelParams, TrainHistory]:
     """Mini-batch training with gradient clipping, Adam, and early stopping.
 
-    Batches reshuffle each epoch under the seeded generator; the parameters
-    with the best validation MSE are returned together with the per-epoch
-    loss history.  A `params` argument is the starting point and is left
-    unchanged.
+    Batches reshuffle each epoch under the seeded generator and are gathered
+    from the shared row table one at a time; the parameters with the best
+    validation MSE are returned together with the per-epoch loss history.  A
+    `params` argument is the starting point and is left unchanged.
     """
     if not dataset.train or not dataset.validation:
         raise ModelError("train and validation partitions must be non-empty")
-    x_train, y_train = dataset.train.input_array(), dataset.train.target_array()
     x_val, y_val = dataset.validation.input_array(), dataset.validation.target_array()
 
     rng = np.random.default_rng(config.seed)
     if params is None:
-        params = init_params(config.seed, input_dim=x_train.shape[2])
+        params = init_params(config.seed, input_dim=dataset.train.vectors.shape[1])
     else:
         params = params.copy()
     state = AdamState.for_params(params)
@@ -432,15 +431,15 @@ def train(
     best_params = params.copy()
     since_best = 0
 
-    n = x_train.shape[0]
+    n = len(dataset.train)
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for bi, lo in enumerate(range(0, n, config.batch_size)):
-            idx = order[lo : lo + config.batch_size]
+            batch = dataset.train[order[lo : lo + config.batch_size]]
             try:
-                outputs, cache = forward_batch(params, x_train[idx])
-                grads, loss = backward_batch(params, cache, y_train[idx])
+                outputs, cache = forward_batch(params, batch.input_array())
+                grads, loss = backward_batch(params, cache, batch.target_array())
             except NonFiniteActivation as exc:
                 raise TrainingDiverged(epoch, bi) from exc
             if not np.isfinite(loss):

@@ -2,8 +2,11 @@
 
 Each stage reads the previous stage's artifact from the output directory and
 writes its own atomically (write-temp-then-rename), so re-running a stage
-with unchanged inputs reproduces byte-identical artifacts.  A manifest keyed
-by the resolved config hash records every stage's inputs and outputs.
+with unchanged inputs reproduces byte-identical artifacts.  `ingest` and
+`preprocess` build their whole record tree (`raw/`, `pre/`) in a temporary
+sibling that replaces the old tree only on success, so a rerun leaves no
+stale record and a failure no partial one.  A manifest keyed by the
+resolved config hash records every stage's inputs and outputs.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +69,19 @@ def _atomic_text(path: Path, payload: str) -> None:
     _atomic_bytes(path, payload.encode())
 
 
-def _save_array(path: Path, arr: np.ndarray) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.save(fh, arr)
-    os.replace(tmp, path)
+@contextmanager
+def _replaced_tree(root: Path):
+    """Yield an empty temporary sibling of `root` that replaces `root` on success."""
+    tmp = root.with_name(root.name + ".tmp")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(root, ignore_errors=True)
+    os.replace(tmp, root)
 
 
 def _update_manifest(config: PipelineConfig, stage: str, inputs: list[str], outputs: list[str]) -> None:
@@ -113,21 +126,22 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
         raise DataError(f"no .csv or .hea records under {src}")
 
     out = Path(config.out_dir)
-    written = []
     names = []
-    for path in files:
-        record = _load_record_file(path, config.fs)
-        triple = select_channels(record)
-        rec_dir = out / "raw" / record.descriptor.record_name
-        rec_dir.mkdir(parents=True, exist_ok=True)
-        _save_array(rec_dir / "ecg.npy", triple.ecg)
-        _save_array(rec_dir / "ppg.npy", triple.ppg)
-        if triple.abp is not None:
-            _save_array(rec_dir / "abp.npy", triple.abp)
-        meta = {"fs": record.descriptor.sampling_rate, "name": record.descriptor.record_name}
-        _atomic_text(rec_dir / "meta.json", json.dumps(meta, sort_keys=True) + "\n")
-        written += [str(rec_dir / "ecg.npy"), str(rec_dir / "ppg.npy")]
-        names.append(record.descriptor.record_name)
+    with _replaced_tree(out / "raw") as raw:
+        for path in files:
+            record = _load_record_file(path, config.fs)
+            triple = select_channels(record)
+            name = record.descriptor.record_name
+            rec_dir = raw / name
+            rec_dir.mkdir(exist_ok=True)
+            np.save(rec_dir / "ecg.npy", triple.ecg)
+            np.save(rec_dir / "ppg.npy", triple.ppg)
+            if triple.abp is not None:
+                np.save(rec_dir / "abp.npy", triple.abp)
+            meta = {"fs": record.descriptor.sampling_rate, "name": name}
+            (rec_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+            names.append(name)
+    written = [str(out / "raw" / name / f"{channel}.npy") for name in names for channel in ("ecg", "ppg")]
     _update_manifest(config, "ingest", [str(p) for p in files], written)
     return names
 
@@ -146,51 +160,54 @@ def _q_table(config: PipelineConfig) -> FrequencyTable:
     return table
 
 
+def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre_dir: Path) -> None:
+    """Denoise one record's ECG and PPG window by window into `pre_dir`."""
+    window = config.window_samples()
+    ecg = np.load(raw_dir / "ecg.npy")
+    ppg = np.load(raw_dir / "ppg.npy")
+    n_windows = ecg.size // window
+    if n_windows == 0:
+        raise DataError(
+            f"record {raw_dir.name}: {ecg.size} samples shorter than one "
+            f"{window}-sample window"
+        )
+    ecg_out = np.zeros(n_windows * window)
+    ppg_out = np.zeros(n_windows * window)
+    rows = []
+    for w in range(n_windows):
+        lo, hi = w * window, (w + 1) * window
+        for channel, src, dst in (("ecg", ecg, ecg_out), ("ppg", ppg, ppg_out)):
+            peak = spectrum_peak(src[lo:hi], config.fs)
+            q = select_q(peak, table)
+            dst[lo:hi] = denoise_window(src[lo:hi], q, table)
+            rows.append(
+                [
+                    w, channel, f"{q:.4g}",
+                    f"{peak.frequency_hz:.6g}" if peak else "",
+                    f"{peak.left_end_hz:.6g}" if peak else "",
+                    f"{peak.prominence:.6g}" if peak else "",
+                ]
+            )
+    pre_dir.mkdir()
+    np.save(pre_dir / "ecg.npy", ecg_out)
+    np.save(pre_dir / "ppg.npy", ppg_out)
+    abp_path = raw_dir / "abp.npy"
+    if abp_path.exists():
+        np.save(pre_dir / "abp.npy", np.load(abp_path)[: n_windows * window])
+    lines = ["window,channel,q,peak_hz,left_end_hz,prominence"]
+    lines += [",".join(str(c) for c in row) for row in rows]
+    (pre_dir / "windows.csv").write_text("\n".join(lines) + "\n")
+
+
 def stage_preprocess(config: PipelineConfig) -> list[str]:
     """Window-wise adaptive filtering of ECG and PPG; ABP passes through."""
     names = _record_names(config, "raw", "ingest")
     table = _q_table(config)
     out = Path(config.out_dir)
-    window = config.window_samples()
-    written = []
-    for name in names:
-        raw_dir = out / "raw" / name
-        ecg = np.load(raw_dir / "ecg.npy")
-        ppg = np.load(raw_dir / "ppg.npy")
-        n_windows = ecg.size // window
-        if n_windows == 0:
-            raise DataError(
-                f"record {name}: {ecg.size} samples shorter than one "
-                f"{window}-sample window"
-            )
-        pre_dir = out / "pre" / name
-        pre_dir.mkdir(parents=True, exist_ok=True)
-        ecg_out = np.zeros(n_windows * window)
-        ppg_out = np.zeros(n_windows * window)
-        rows = []
-        for w in range(n_windows):
-            lo, hi = w * window, (w + 1) * window
-            for channel, src, dst in (("ecg", ecg, ecg_out), ("ppg", ppg, ppg_out)):
-                peak = spectrum_peak(src[lo:hi], config.fs)
-                q = select_q(peak, table)
-                dst[lo:hi] = denoise_window(src[lo:hi], q, table)
-                rows.append(
-                    [
-                        w, channel, f"{q:.4g}",
-                        f"{peak.frequency_hz:.6g}" if peak else "",
-                        f"{peak.left_end_hz:.6g}" if peak else "",
-                        f"{peak.prominence:.6g}" if peak else "",
-                    ]
-                )
-        _save_array(pre_dir / "ecg.npy", ecg_out)
-        _save_array(pre_dir / "ppg.npy", ppg_out)
-        abp_path = raw_dir / "abp.npy"
-        if abp_path.exists():
-            _save_array(pre_dir / "abp.npy", np.load(abp_path)[: n_windows * window])
-        lines = ["window,channel,q,peak_hz,left_end_hz,prominence"]
-        lines += [",".join(str(c) for c in row) for row in rows]
-        _atomic_text(pre_dir / "windows.csv", "\n".join(lines) + "\n")
-        written += [str(pre_dir / "ecg.npy"), str(pre_dir / "ppg.npy")]
+    with _replaced_tree(out / "pre") as pre:
+        for name in names:
+            _preprocess_record(config, table, out / "raw" / name, pre / name)
+    written = [str(out / "pre" / name / f"{channel}.npy") for name in names for channel in ("ecg", "ppg")]
     _update_manifest(config, "preprocess", names, written)
     return names
 

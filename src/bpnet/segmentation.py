@@ -20,10 +20,9 @@ import numpy as np
 WAVE_POINTS = 256
 FEATURE_DIM = 2 * WAVE_POINTS + 1
 
-R_REFRACTORY_S = 0.24  # 250 bpm ceiling
 PPG_REFRACTORY_S = 0.30
 
-DATASET_MAGIC = b"BPSEQ1"
+DATASET_MAGIC = b"BPSEQ2"
 
 
 class SegmentationError(ValueError):
@@ -35,7 +34,7 @@ class SampleRejected(ValueError):
 
 
 class DatasetError(ValueError):
-    """Malformed or inconsistent BPSEQ1 container or manifest."""
+    """Malformed or inconsistent BPSEQ2 container or manifest."""
 
 
 @dataclass
@@ -189,33 +188,6 @@ def _dedupe_refractory(indices: list[int], strength: np.ndarray, refractory: int
         else:
             kept.append(idx)
     return np.asarray(kept, dtype=int)
-
-
-def detect_r_peaks(ecg: np.ndarray, fs: float) -> np.ndarray:
-    """R-peak indices, polarity-robust, with a 0.24 s refractory floor.
-
-    Works on the derivative-energy envelope, then refines each detection to
-    the largest absolute deflection from the local median so that negative-R
-    morphologies resolve to the same sample as positive ones.
-    """
-    x = np.asarray(ecg, dtype=float)
-    if x.size < int(fs):
-        raise SegmentationError("ECG window shorter than one second")
-    diff = np.diff(x, prepend=x[0])
-    envelope = _moving_average(diff * diff, int(round(0.15 * fs)))
-    candidates = _plateau_local_maxima(envelope)
-    coarse = _adaptive_pick(envelope, candidates, fs, R_REFRACTORY_S, signal_weight=0.25)
-
-    half = int(round(0.10 * fs))
-    refined = []
-    for idx in coarse:
-        lo, hi = max(0, idx - half), min(x.size, idx + half + 1)
-        window = x[lo:hi]
-        refined.append(lo + int(np.argmax(np.abs(window - np.median(window)))))
-    peaks = _dedupe_refractory(refined, np.abs(x - np.median(x)), int(round(R_REFRACTORY_S * fs)))
-    if peaks.size < 3:
-        raise SegmentationError(f"only {peaks.size} R peaks found; window unusable")
-    return peaks
 
 
 def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
@@ -407,62 +379,53 @@ def standardize_features(arr: np.ndarray, stats: ChannelStats) -> np.ndarray:
 
 
 SPLIT_NAMES = ("train", "validation", "test")
-# Magic, uint32 sequence count / M / feature dim, four float64 channel statistics.
-DATASET_HEADER = struct.Struct("<6s3I4d")
+# Magic, uint32 sequence count / row count / M / feature dim, four float64 channel statistics.
+DATASET_HEADER = struct.Struct("<6s4I4d")
 MANIFEST_COLUMNS = ["patient", "start_index", "split"]
-SAVE_CHUNK = 256  # sequences gathered and converted per write
-
-
-def _record_dtype(m: int) -> np.dtype:
-    """One sequence's BPSEQ1 block: M x 513 features, then M x 2 targets."""
-    return np.dtype([("x", "<f4", (m, FEATURE_DIM)), ("y", "<f4", (m, 2))])
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
-    """Write the BPSEQ1 container plus a sidecar CSV manifest.
+    """Write the BPSEQ2 container plus a sidecar CSV manifest.
 
-    Layout: magic "BPSEQ1"; uint32 sequence count, M, feature dim; four
-    float64 channel statistics; then one little-endian float32 block per
-    sequence (M x 513 features followed by M x 2 targets), sequence-major in
-    train, validation, test order.  The manifest lists (patient, start index,
-    split) per sequence in file order.
+    Layout: magic "BPSEQ2"; uint32 sequence count N, row count V, M and
+    feature dim; four float64 channel statistics; then the shared row table,
+    each row once, as V x 513 float32 features and V x 2 float32 targets;
+    then N uint32 first-row indices in train, validation, test order.  The
+    manifest lists (patient, start index, split) per sequence in file order.
     """
-    parts = [(name, getattr(split, name)) for name in SPLIT_NAMES]
-    count = sum(len(part) for _, part in parts)
-    if not count:
+    parts = [getattr(split, name) for name in SPLIT_NAMES]
+    table = split.train
+    if any(p.vectors is not table.vectors or p.targets is not table.targets or p.m != table.m for p in parts):
+        raise ValueError("dataset partitions do not share one row table")
+    first = np.concatenate([part.first for part in parts])
+    if not first.size:
         raise ValueError("empty dataset")
-    m = split.train.m
-    if any(part.m != m for _, part in parts):
-        raise ValueError("mixed sequence lengths in dataset")
 
     s = split.stats
     with open(path, "wb") as fh:
         fh.write(DATASET_HEADER.pack(
-            DATASET_MAGIC, count, m, FEATURE_DIM, s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std
+            DATASET_MAGIC, first.size, len(table.vectors), table.m, FEATURE_DIM,
+            s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std,
         ))
-        for _, part in parts:
-            for lo in range(0, len(part), SAVE_CHUNK):
-                block = part[lo : lo + SAVE_CHUNK]
-                records = np.empty(len(block), _record_dtype(m))
-                records["x"] = block.input_array()
-                records["y"] = block.target_array()
-                fh.write(records.tobytes())
+        table.vectors.astype("<f4").tofile(fh)
+        table.targets.astype("<f4").tofile(fh)
+        first.astype("<u4").tofile(fh)
 
     manifest = str(path) + ".manifest.csv"
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
-        for name, part in parts:
+        for name, part in zip(SPLIT_NAMES, parts):
             writer.writerows(
                 (patient, start, name) for patient, start in zip(part.patient.tolist(), part.start.tolist())
             )
 
 
 def load_dataset(path) -> DatasetSplit:
-    """Read a BPSEQ1 container written by :func:`save_dataset`.
+    """Read a BPSEQ2 container written by :func:`save_dataset`.
 
-    A malformed container or manifest raises DatasetError.  Each sequence
-    gets its own M rows in the returned table.
+    The three partitions of the returned split share one V-row table.  A
+    malformed container or manifest raises DatasetError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -470,15 +433,23 @@ def load_dataset(path) -> DatasetSplit:
         raise DatasetError(f"bad dataset magic {data[:6]!r}")
     if len(data) < DATASET_HEADER.size:
         raise DatasetError(f"truncated dataset header: {len(data)} of {DATASET_HEADER.size} bytes")
-    _, count, m, dim, *moments = DATASET_HEADER.unpack_from(data)
+    _, count, n_rows, m, dim, *moments = DATASET_HEADER.unpack_from(data)
     if dim != FEATURE_DIM:
         raise DatasetError(f"unsupported feature dim {dim}")
     if count < 1 or m < 1:
         raise DatasetError(f"dataset declares {count} sequences of M={m}")
     payload = len(data) - DATASET_HEADER.size
-    expected = count * m * (FEATURE_DIM + 2) * 4
+    expected = (n_rows * (FEATURE_DIM + 2) + count) * 4
     if payload != expected:
-        raise DatasetError(f"dataset payload is {payload} bytes, {count} sequences of M={m} need {expected}")
+        raise DatasetError(f"dataset payload is {payload} bytes, {n_rows} rows + {count} sequences need {expected}")
+    if m > n_rows:
+        raise DatasetError(f"dataset payload holds {n_rows} rows, fewer than M={m}")
+    targets_at = DATASET_HEADER.size + n_rows * FEATURE_DIM * 4
+    first_at = targets_at + n_rows * 2 * 4
+    first = np.frombuffer(data, "<u4", count, first_at).astype(np.int64)
+    past = np.flatnonzero(first + m > n_rows)
+    if past.size:
+        raise DatasetError(f"sequence {past[0]} starts at row {first[past[0]]}: M={m} runs past {n_rows} rows")
 
     manifest = str(path) + ".manifest.csv"
     try:
@@ -501,15 +472,9 @@ def load_dataset(path) -> DatasetSplit:
     except ValueError:
         raise DatasetError("non-integer start index in manifest") from None
 
-    records = np.frombuffer(data, _record_dtype(m), offset=DATASET_HEADER.size)
-    table = Sequences(
-        records["x"].astype(float).reshape(count * m, dim),
-        records["y"].astype(float).reshape(count * m, 2),
-        np.arange(count) * m,
-        np.array(patient, dtype=str),
-        start,
-        m,
-    )
+    vectors = np.frombuffer(data, "<f4", n_rows * FEATURE_DIM, DATASET_HEADER.size).reshape(n_rows, FEATURE_DIM)
+    targets = np.frombuffer(data, "<f4", n_rows * 2, targets_at).reshape(n_rows, 2)
+    table = Sequences(vectors.astype(float), targets.astype(float), first, np.array(patient, dtype=str), start, m)
     names = np.array(names)
     train, validation, test = (table[names == name] for name in SPLIT_NAMES)
     return DatasetSplit(train, validation, test, ChannelStats(*moments))

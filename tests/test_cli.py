@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,58 @@ def test_train_on_dataset_with_trailing_bytes_exits_2(tmp_path, synth_csv, capsy
     path.write_bytes(path.read_bytes() + bytes(100))
     assert main(["train", "--config", str(cfg)]) == 2
     assert "payload" in capsys.readouterr().err
+
+
+def test_train_on_bpseq1_dataset_exits_2(tmp_path, synth_csv, capsys):
+    from bpnet.segmentation import load_dataset
+
+    cfg, path = _segmented_run(tmp_path, synth_csv)
+    split = load_dataset(path)
+    # The retired BPSEQ1 layout: header, then M x 513 features and M x 2 targets per sequence.
+    parts = (split.train, split.validation, split.test)
+    count, s = sum(len(part) for part in parts), split.stats
+    old = [b"BPSEQ1", struct.pack("<3I4d", count, 10, 513, s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std)]
+    for seq in (seq for part in parts for seq in part):
+        old += [seq.input_array().astype("<f4").tobytes(), seq.target_array().astype("<f4").tobytes()]
+    path.write_bytes(b"".join(old))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "bad dataset magic b'BPSEQ1'" in capsys.readouterr().err
+
+
+def test_reingest_drops_stale_records(tmp_path, capsys):
+    from bpnet.segmentation import load_dataset
+
+    data = tmp_path / "data"
+    for name, seed in (("pa", 4), ("pb", 5)):
+        assert main(["synth", "--out", str(data / f"{name}.csv"), "--duration", "70", "--seed", str(seed)]) == 0
+    cfg = _write_config(tmp_path, data)
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    cfg = _write_config(tmp_path, data / "pa.csv")
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["preprocess", "--config", str(cfg)]) == 0
+    assert "preprocessed 1 record(s)" in capsys.readouterr().out
+    assert main(["segment", "--config", str(cfg)]) == 0
+    split = load_dataset(tmp_path / "out" / "dataset.bpseq")
+    patients = np.concatenate([split.train.patient, split.validation.patient, split.test.patient])
+    assert set(patients) == {"pa"}
+    assert sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir()) == ["pre", "raw"]
+
+
+def test_failed_preprocess_leaves_no_partial_record(tmp_path, synth_csv, capsys):
+    lines = synth_csv.read_text().splitlines(keepends=True)
+    cells = lines[500].split(",")
+    lines[500] = ",".join([cells[0], "nan", *cells[2:]])
+    record = tmp_path / "nan.csv"
+    record.write_text("".join(lines))
+    cfg = _write_config(tmp_path, record)
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert main(["preprocess", "--config", str(cfg)]) == 2
+    out = tmp_path / "out"
+    assert not (out / "pre" / "nan").exists() and not (out / "pre.tmp").exists()
+    capsys.readouterr()
+    assert main(["segment", "--config", str(cfg)]) == 2
+    assert "run preprocess first" in capsys.readouterr().err
 
 
 def test_per_patient_models_route_test_sequences(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bpnet.model import (
     AdamState,
@@ -442,4 +444,12 @@ class TestModelFile:
         path = tmp_path / "long.bpnet"
         path.write_bytes(model_bytes + b"\x00" * 8)
         with pytest.raises(ModelError, match="payload"):
+            load_model(path)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_any_truncation_raises_model_error(self, tmp_path, model_bytes, cut):
+        path = tmp_path / "cut.bpnet"
+        path.write_bytes(model_bytes[: int(cut * len(model_bytes))])
+        with pytest.raises(ModelError):
             load_model(path)

@@ -14,7 +14,6 @@ from bpnet.segmentation import (
     build_feature_vector,
     build_sequences,
     detect_ppg_peaks,
-    detect_r_peaks,
     extract_targets,
     load_dataset,
     resample_to,
@@ -44,48 +43,6 @@ def _pulse_train(n_pulses, f0=1.2, fs=FS, start=0.3, dicrotic=0.0, lead_out=1.0)
         apexes.append(int(np.argmax(pulse)))
         sig += pulse
     return sig, np.array(apexes)
-
-
-class TestRPeaks:
-    def test_impulse_train_at_multiples_of_fs(self):
-        n = int(10 * FS)
-        x = np.zeros(n)
-        truth = np.arange(int(FS), n, int(FS))
-        x[truth] = 1.0
-        assert np.array_equal(detect_r_peaks(x, FS), truth)
-
-    def test_negated_train_identical(self):
-        n = int(10 * FS)
-        x = np.zeros(n)
-        truth = np.arange(int(FS), n, int(FS))
-        x[truth] = 1.0
-        assert np.array_equal(detect_r_peaks(-x, FS), detect_r_peaks(x, FS))
-
-    def test_noisy_synthetic_beats_matched(self, rng):
-        # Generator truth: gaussian R spikes + T waves at 72 bpm, 15 dB SNR.
-        n = int(30 * FS)
-        t = np.arange(n) / FS
-        beat_times = np.arange(0.8, 29.5, 60.0 / 72.0)
-        ecg = np.zeros(n)
-        for tk in beat_times:
-            ecg += 1.2 * np.exp(-0.5 * ((t - tk) / 0.012) ** 2)
-            ecg += 0.25 * np.exp(-0.5 * ((t - tk - 0.25) / 0.06) ** 2)
-        noise = rng.standard_normal(n) * np.sqrt(np.mean(ecg**2) / 10**1.5)
-        detected = detect_r_peaks(ecg + noise, FS)
-        truth_idx = np.round(beat_times * FS).astype(int)
-        matched = sum(np.min(np.abs(detected - ti)) <= 0.04 * FS for ti in truth_idx)
-        assert matched / len(truth_idx) >= 0.95
-
-    def test_refractory_spacing(self):
-        n = int(10 * FS)
-        x = np.zeros(n)
-        x[np.arange(int(FS), n, int(FS))] = 1.0
-        peaks = detect_r_peaks(x, FS)
-        assert np.all(np.diff(peaks) >= 0.24 * FS)
-
-    def test_too_few_peaks_rejected(self):
-        with pytest.raises(SegmentationError):
-            detect_r_peaks(np.zeros(int(5 * FS)), FS)
 
 
 class TestPpgPeaks:
@@ -354,14 +311,14 @@ class TestSequencesTable:
 
 
 def _reference_bpseq(split) -> bytes:
-    """BPSEQ1 bytes written one sequence at a time, as the format describes."""
-    ordered = list(split.train) + list(split.validation) + list(split.test)
-    s = split.stats
-    out = [b"BPSEQ1", struct.pack("<III", len(ordered), split.train.m, FEATURE_DIM)]
+    """BPSEQ2 bytes written field by field, as the format describes."""
+    table, s = split.train, split.stats
+    first = np.concatenate([split.train.first, split.validation.first, split.test.first])
+    out = [b"BPSEQ2", struct.pack("<IIII", first.size, len(table.vectors), table.m, FEATURE_DIM)]
     out.append(struct.pack("<dddd", s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std))
-    for seq in ordered:
-        out.append(seq.input_array().astype("<f4").tobytes())
-        out.append(seq.target_array().astype("<f4").tobytes())
+    out.append(table.vectors.astype("<f4").tobytes())
+    out.append(table.targets.astype("<f4").tobytes())
+    out.append(first.astype("<u4").tobytes())
     return b"".join(out)
 
 
@@ -370,7 +327,7 @@ class TestDatasetFile:
         split = split_and_standardize(_toy_samples(30))
         path = tmp_path / "data.bpseq"
         save_dataset(split, path)
-        assert path.read_bytes()[:6] == b"BPSEQ1"
+        assert path.read_bytes()[:6] == b"BPSEQ2"
         assert (tmp_path / "data.bpseq.manifest.csv").exists()
         loaded = load_dataset(path)
         assert len(loaded.train) == len(split.train)
@@ -382,7 +339,7 @@ class TestDatasetFile:
         assert np.max(np.abs(orig - back)) <= 1e-5 * max(1.0, np.max(np.abs(orig)))
 
     def test_bytes_match_reference_writer(self, tmp_path):
-        # 420 train sequences: more than one write chunk.
+        # Two patients, 420 train sequences over one 606-row table.
         samples = Sequences.concat([_toy_samples(400, patient="a"), _toy_samples(200, patient="b", start=7)])
         split = split_and_standardize(samples)
         path = tmp_path / "data.bpseq"
@@ -400,6 +357,22 @@ class TestDatasetFile:
         assert np.array_equal(loaded.test.start, split.test.start)
         save_dataset(loaded, tmp_path / "b.bpseq")
         assert (tmp_path / "a.bpseq").read_bytes() == (tmp_path / "b.bpseq").read_bytes()
+
+    def test_loaded_partitions_share_one_table(self, tmp_path):
+        split = split_and_standardize(_toy_samples(30))
+        save_dataset(split, tmp_path / "a.bpseq")
+        loaded = load_dataset(tmp_path / "a.bpseq")
+        assert len(loaded.train.vectors) == len(split.train.vectors) == 33
+        for part in (loaded.validation, loaded.test):
+            assert part.vectors is loaded.train.vectors and part.targets is loaded.train.targets
+        assert np.array_equal(loaded.test.first, split.test.first)
+
+    def test_partitions_without_one_table_rejected(self, tmp_path):
+        split = split_and_standardize(_toy_samples(30))
+        test = split.test
+        split.test = Sequences(test.vectors.copy(), test.targets, test.first, test.patient, test.start, test.m)
+        with pytest.raises(ValueError, match="share one row table"):
+            save_dataset(split, tmp_path / "a.bpseq")
 
     def test_resample_helper_identity(self, rng):
         x = rng.standard_normal(256)
@@ -437,20 +410,36 @@ class TestDatasetErrors:
 
     def test_feature_dim(self, saved_dataset):
         data = bytearray(saved_dataset.read_bytes())
-        data[14:18] = struct.pack("<I", 512)
+        data[18:22] = struct.pack("<I", 512)
         saved_dataset.write_bytes(bytes(data))
         with pytest.raises(DatasetError, match="feature dim"):
             load_dataset(saved_dataset)
 
     def test_huge_sequence_length(self, saved_dataset):
         data = bytearray(saved_dataset.read_bytes())
-        data[10:14] = struct.pack("<I", 2**32 - 1)
+        data[14:18] = struct.pack("<I", 2**32 - 1)
         saved_dataset.write_bytes(bytes(data))
         with pytest.raises(DatasetError, match="payload"):
             load_dataset(saved_dataset)
 
+    def test_sequence_length_above_row_count(self, saved_dataset):
+        data = bytearray(saved_dataset.read_bytes())
+        (rows,) = struct.unpack_from("<I", data, 10)
+        data[14:18] = struct.pack("<I", rows + 1)
+        saved_dataset.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="fewer than M"):
+            load_dataset(saved_dataset)
+
+    def test_sequence_rows_past_table(self, saved_dataset):
+        data = bytearray(saved_dataset.read_bytes())
+        rows, m = struct.unpack_from("<II", data, 10)
+        data[-4:] = struct.pack("<I", rows - m + 1)  # the last sequence's first row
+        saved_dataset.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="runs past"):
+            load_dataset(saved_dataset)
+
     def test_zero_sequences(self, saved_dataset):
-        data = bytearray(saved_dataset.read_bytes()[: struct.calcsize("<6s3I4d")])
+        data = bytearray(saved_dataset.read_bytes()[: struct.calcsize("<6s4I4d")])
         data[6:10] = struct.pack("<I", 0)
         saved_dataset.write_bytes(bytes(data))
         with pytest.raises(DatasetError, match="declares 0 sequences"):
