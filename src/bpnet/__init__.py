@@ -9,8 +9,8 @@ evaluation (AAMI / BHS / Bland-Altman / correlation statistics).
 
 from bpnet.tqwt import TqwtParams, SubbandSet, FrequencyTable, decompose, reconstruct
 from bpnet.recordio import PatientRecord, RecordDescriptor, read_csv_record, read_wfdb_record, select_channels
-from bpnet.segmentation import TargetPair, Sequences, DatasetSplit
-from bpnet.model import ModelParams, TrainConfig, AdamState, TrainedModel
+from bpnet.segmentation import Sequences, DatasetSplit
+from bpnet.model import ModelParams, TrainConfig, AdamState, TrainedModel, TargetPair
 
 __all__ = [
     "TqwtParams",

@@ -10,7 +10,7 @@ window, M=32 with 40 s) and the gradient cap follows the sequence length
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 M_WINDOW_PAIRS = {10: 16.0, 32: 40.0}
 M_CAP_PAIRS = {10: 3.0, 32: 5.0}
@@ -178,9 +178,11 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("train.cap must be positive")
     if config.batch_size < 1:
         raise ConfigError("train.batch must be >= 1")
-    total = config.split_train + config.split_validation + config.split_test
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {total}")
+    if config.max_epochs < 1:
+        raise ConfigError(f"train.max_epochs must be >= 1, got {config.max_epochs}")
+    fractions = (config.split_train, config.split_validation, config.split_test)
+    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"split fractions must be non-negative and sum to 1, got {fractions}")
     if not (0 < config.q_min < config.q_max):
         raise ConfigError("need 0 < tqwt.q_min < tqwt.q_max")
     if config.q_step <= 0:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,20 +285,15 @@ def _chart(
     return "\n".join(parts)
 
 
-def tracking_export(
-    preds: Optional[list],
-    truth: list,
-    path_base,
-) -> tuple[str, str]:
+def tracking_export(preds: np.ndarray, truth: np.ndarray, path_base) -> tuple[str, str]:
     """Continuous-measurement export: CSV plus a two-panel line chart SVG.
 
-    `truth` and `preds` are aligned per-measurement pairs with .sbp / .dbp
-    attributes; preds may be None for a truth-only export.  Writes
+    `preds` and `truth` are aligned (N, 2) arrays of (SBP, DBP) rows.  Writes
     `<path_base>.csv` and `<path_base>.svg`, returning both paths.
     """
-    if preds is not None and len(preds) != len(truth):
-        raise EvaluateError("preds and truth must be aligned")
-    if not truth:
+    if preds.shape != truth.shape or truth.ndim != 2 or truth.shape[1] != 2:
+        raise EvaluateError(f"preds {preds.shape} and truth {truth.shape} must be aligned (N, 2) arrays")
+    if not truth.size:
         raise EvaluateError("empty series")
 
     csv_path = f"{path_base}.csv"
@@ -307,26 +301,18 @@ def tracking_export(
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "sbp_true", "sbp_est", "dbp_true", "dbp_est"])
-        for i, t in enumerate(truth):
-            if preds is None:
-                writer.writerow([i, f"{t.sbp:.4f}", "", f"{t.dbp:.4f}", ""])
-            else:
-                p = preds[i]
-                writer.writerow(
-                    [i, f"{t.sbp:.4f}", f"{p.sbp:.4f}", f"{t.dbp:.4f}", f"{p.dbp:.4f}"]
-                )
+        for i, ((st, dt), (se, de)) in enumerate(zip(truth.tolist(), preds.tolist())):
+            writer.writerow([i, f"{st:.4f}", f"{se:.4f}", f"{dt:.4f}", f"{de:.4f}"])
 
-    sbp_true = np.array([t.sbp for t in truth])
-    dbp_true = np.array([t.dbp for t in truth])
     width, panel_h = 860.0, 240.0
-    panels = []
-    sbp_traces = [("SBP truth", sbp_true, "#1f77b4")]
-    dbp_traces = [("DBP truth", dbp_true, "#1f77b4")]
-    if preds is not None:
-        sbp_traces.append(("SBP estimate", np.array([p.sbp for p in preds]), "#d62728"))
-        dbp_traces.append(("DBP estimate", np.array([p.dbp for p in preds]), "#d62728"))
-    panels.append(_chart(0.0, "Systolic pressure tracking (mmHg)", sbp_traces, width, panel_h))
-    panels.append(_chart(panel_h, "Diastolic pressure tracking (mmHg)", dbp_traces, width, panel_h))
+    panels = [
+        _chart(
+            i * panel_h, f"{name} pressure tracking (mmHg)",
+            [(f"{label} truth", truth[:, i], "#1f77b4"), (f"{label} estimate", preds[:, i], "#d62728")],
+            width, panel_h,
+        )
+        for i, (name, label) in enumerate((("Systolic", "SBP"), ("Diastolic", "DBP")))
+    ]
     body = "\n".join(panels)
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '

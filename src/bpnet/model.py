@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit, TargetPair
+from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit
 
 DENSE_UNITS = 128
 HIDDEN_UNITS = 128
@@ -133,7 +133,6 @@ class ModelParams:
 
 @dataclass
 class TrainConfig:
-    m: int = 10
     batch_size: int = 128
     learning_rate: float = 0.001
     grad_cap: float = 3.0  # 3.0 for M=10 runs, 5.0 for M=32 runs
@@ -290,15 +289,6 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Forwa
     return outputs, ForwardCache(x2, dense_pre, fw_cache, bw_cache, bi_out, lstm2_cache, outputs)
 
 
-def forward(params: ModelParams, sequence: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass over one (M, input_dim) sequence."""
-    seq = np.asarray(sequence, dtype=float)
-    if seq.ndim != 2:
-        raise ModelError(f"expected (M, input_dim) sequence, got shape {seq.shape}")
-    outputs, cache = forward_batch(params, seq[None])
-    return outputs[0], cache
-
-
 def backward_batch(
     params: ModelParams, cache: ForwardCache, targets: np.ndarray
 ) -> tuple[ModelParams, float]:
@@ -325,16 +315,6 @@ def backward_batch(
     np.matmul(cache.x.T, d_pre, out=grads.dense_w)
     np.sum(d_pre, axis=0, out=grads.dense_b)
     return grads, loss
-
-
-def backward(
-    params: ModelParams, cache: ForwardCache, targets: np.ndarray
-) -> tuple[ModelParams, float]:
-    """Gradients for a single-sequence cache from :func:`forward`."""
-    tgt = np.asarray(targets, dtype=float)
-    if tgt.ndim == 2:
-        tgt = tgt[None]
-    return backward_batch(params, cache, tgt)
 
 
 def gradient_norm(grads: ModelParams) -> float:
@@ -466,13 +446,10 @@ def train(
     return best_params, history
 
 
-def predict(params: ModelParams, sequence: np.ndarray) -> TargetPair:
-    """Final-step (SBP, DBP) for one standardized sequence."""
-    outputs, _ = forward(params, sequence)
-    sbp, dbp = float(outputs[-1, 0]), float(outputs[-1, 1])
-    if not (np.isfinite(sbp) and np.isfinite(dbp)):
-        raise ModelError("non-finite prediction")
-    return TargetPair(sbp, dbp)
+@dataclass
+class TargetPair:
+    sbp: float
+    dbp: float
 
 
 @dataclass
@@ -487,16 +464,17 @@ class TrainedModel:
         """Final-step (SBP, DBP) for one standardized (M, input_dim) sequence."""
         seq = np.asarray(sequence, dtype=float)
         if seq.ndim != 2 or seq.shape[0] != self.m:
-            raise ModelError(
-                f"sequence shape {seq.shape} does not match trained M={self.m}"
-            )
-        return predict(self.params, seq)
+            raise ModelError(f"sequence shape {seq.shape} does not match trained M={self.m}")
+        return TargetPair(*self.predict_batch(seq[None])[0].tolist())
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        """Final-step outputs for (N, M, input_dim) standardized sequences."""
+        """Final-step (SBP, DBP) rows for (N, M, input_dim) standardized sequences."""
         if x.shape[1] != self.m:
             raise ModelError(f"batch M={x.shape[1]} does not match trained M={self.m}")
-        return _outputs(self.params, x)[:, -1, :]
+        estimates = _outputs(self.params, x)[:, -1, :]
+        if not np.all(np.isfinite(estimates)):
+            raise ModelError("non-finite prediction")
+        return estimates
 
 
 def save_model(model: TrainedModel, path) -> None:

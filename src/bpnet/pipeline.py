@@ -23,7 +23,6 @@ import numpy as np
 from bpnet.config import PipelineConfig
 from bpnet.evaluate import assemble_report, tracking_export
 from bpnet.model import (
-    ModelError,
     TrainConfig,
     TrainedModel,
     load_model,
@@ -36,13 +35,12 @@ from bpnet.segmentation import (
     DatasetSplit,
     SegmentationError,
     Sequences,
-    TargetPair,
     build_sequences,
     load_dataset,
     save_dataset,
     split_and_standardize,
 )
-from bpnet.tqwt import FrequencyTable, build_q_lookup
+from bpnet.tqwt import FrequencyTable, build_q_lookup, q_grid
 
 STAGES = ("ingest", "preprocess", "segment", "train", "eval", "track", "report")
 
@@ -146,12 +144,25 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
     return names
 
 
+def _table_fits(table: FrequencyTable, config: PipelineConfig) -> bool:
+    """True when `table` holds the config's Q grid and its closed-form centers."""
+    qs = q_grid(config.q_min, config.q_max, config.q_step)
+    if table.qs.shape != qs.shape or not np.allclose(table.qs, qs, rtol=1e-9, atol=0.0):
+        return False
+    beta = 2.0 / (qs + 1.0)
+    alpha = 1.0 - beta / config.tqwt_r
+    centers = alpha**config.tqwt_levels * (2.0 - beta) / (4.0 * alpha) * config.fs
+    return bool(np.allclose(table.centers_hz, centers, rtol=1e-9, atol=0.0))
+
+
 def _q_table(config: PipelineConfig) -> FrequencyTable:
-    """Build the lookup or reuse the cached CSV export."""
+    """Reuse the cached CSV export if it fits the config; else build and write it."""
     out = Path(config.out_dir)
     cache = out / "qtable.csv"
     if cache.exists():
-        return FrequencyTable.from_csv(cache, config.fs, config.tqwt_levels, config.tqwt_r)
+        table = FrequencyTable.from_csv(cache, config.fs, config.tqwt_levels, config.tqwt_r)
+        if _table_fits(table, config):
+            return table
     table = build_q_lookup(
         config.fs, config.tqwt_levels, config.q_min, config.q_max, config.q_step, config.tqwt_r
     )
@@ -260,7 +271,6 @@ def _dataset(config: PipelineConfig) -> DatasetSplit:
 
 def _train_config(config: PipelineConfig) -> TrainConfig:
     return TrainConfig(
-        m=config.m,
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
         grad_cap=config.grad_cap,
@@ -347,8 +357,6 @@ def stage_eval(config: PipelineConfig) -> str:
         mask = keys == key
         if mask.any():
             estimates[mask] = model.predict_batch(scored[mask].input_array())
-    if not np.all(np.isfinite(estimates)):
-        raise ModelError("non-finite prediction")
     (sbp_est, dbp_est), (sbp_true, dbp_true) = estimates.T.copy(), scored.target_array()[:, -1].T.copy()
     rows = zip(scored.patient.tolist(), scored.start.tolist(), sbp_true, sbp_est, dbp_true, dbp_est)
 
@@ -376,15 +384,13 @@ def stage_track(config: PipelineConfig) -> tuple[str, str]:
     pred_path = out / "predictions.csv"
     if not pred_path.exists():
         raise StageDependencyError(str(pred_path), "eval")
-    truth = []
-    preds = []
+    columns = ("sbp_true", "dbp_true", "sbp_est", "dbp_est")
     with open(pred_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            truth.append(TargetPair(float(row["sbp_true"]), float(row["dbp_true"])))
-            preds.append(TargetPair(float(row["sbp_est"]), float(row["dbp_est"])))
-    if not truth:
+        rows = [[float(row[c]) for c in columns] for row in csv.DictReader(fh)]
+    if not rows:
         raise DataError("predictions file is empty")
-    csv_path, svg_path = tracking_export(preds, truth, out / "tracking")
+    table = np.array(rows)
+    csv_path, svg_path = tracking_export(table[:, 2:], table[:, :2], out / "tracking")
     _update_manifest(config, "track", [str(pred_path)], [csv_path, svg_path])
     return csv_path, svg_path
 

@@ -16,7 +16,6 @@ mapped to channel roles by case-insensitive label matching.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional

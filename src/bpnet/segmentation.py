@@ -37,12 +37,6 @@ class DatasetError(ValueError):
     """Malformed or inconsistent BPSEQ2 container or manifest."""
 
 
-@dataclass
-class TargetPair:
-    sbp: float
-    dbp: float
-
-
 @dataclass(eq=False)
 class Sequences:
     """Sequences of M consecutive two-cycle vectors over one shared row table.
@@ -265,8 +259,8 @@ def _span_extrema(seg: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     return maxima, minima
 
 
-def extract_targets(abp: np.ndarray, fs: float, span: tuple[int, int]) -> TargetPair:
-    """Mean per-beat systolic maxima / diastolic minima over `span`."""
+def extract_targets(abp: np.ndarray, fs: float, span: tuple[int, int]) -> tuple[float, float]:
+    """(SBP, DBP): mean per-beat systolic maxima / diastolic minima over `span`."""
     start, end = span
     seg = np.asarray(abp[start:end], dtype=float)
     if seg.size == 0:
@@ -278,7 +272,7 @@ def extract_targets(abp: np.ndarray, fs: float, span: tuple[int, int]) -> Target
     dbp = float(np.mean(seg[minima]))
     if not (20.0 < dbp < sbp < 300.0):
         raise SampleRejected(f"implausible pressures sbp={sbp:.1f} dbp={dbp:.1f}")
-    return TargetPair(sbp, dbp)
+    return sbp, dbp
 
 
 def build_sequences(
@@ -308,8 +302,7 @@ def build_sequences(
         lo, hi = int(peaks[i]), int(peaks[i + 2])
         try:
             vectors[i] = build_feature_vector(ecg, ppg, lo, hi, fs)
-            tgt = extract_targets(abp, fs, (lo, hi))
-            targets[i] = tgt.sbp, tgt.dbp
+            targets[i] = extract_targets(abp, fs, (lo, hi))
         except SampleRejected:
             rejected[i] = 1
 

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from bpnet.recordio import PatientRecord, RecordDescriptor, SignalSpec
 
 
 @dataclass
@@ -48,17 +45,6 @@ class SyntheticRecord:
     beat_times: np.ndarray
     sbp_beats: np.ndarray
     dbp_beats: np.ndarray
-
-    def as_patient_record(self, name: str = "synthetic") -> PatientRecord:
-        specs = [
-            SignalSpec("-", 16, 1.0, 0, "mV", "II"),
-            SignalSpec("-", 16, 1.0, 0, "NU", "PLETH"),
-            SignalSpec("-", 16, 1.0, 0, "mmHg", "ABP"),
-        ]
-        desc = RecordDescriptor(name, 3, self.config.fs, self.t.size, specs)
-        return PatientRecord(
-            desc, {"ecg_ii": self.ecg, "ppg": self.ppg, "abp": self.abp}
-        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,6 +314,11 @@ class FrequencyTable:
         return cls(np.array(qs), np.array(centers), np.array(lows), fs, level, r)
 
 
+def q_grid(q_min: float, q_max: float, step: float) -> np.ndarray:
+    """The inclusive, ascending Q grid from q_min to q_max in `step` increments."""
+    return np.linspace(q_min, q_max, int(round((q_max - q_min) / step)) + 1)
+
+
 def build_q_lookup(
     fs: float,
     level: int = 10,
@@ -327,10 +332,9 @@ def build_q_lookup(
         raise TqwtError(f"need q_min < q_max, got {q_min} >= {q_max}")
     if step <= 0:
         raise TqwtError(f"step must be positive, got {step}")
-    count = int(round((q_max - q_min) / step)) + 1
-    qs = np.linspace(q_min, q_max, count)
-    centers = np.empty(count)
-    lows = np.empty(count)
+    qs = q_grid(q_min, q_max, step)
+    centers = np.empty(qs.size)
+    lows = np.empty(qs.size)
     for i, q in enumerate(qs):
         centers[i], lows[i] = subband_frequencies(TqwtParams(q=float(q), r=r, levels=level), fs, level)
     return FrequencyTable(qs, centers, lows, fs, level, r)

@@ -27,10 +27,8 @@ from bpnet.model import (
     AdamState,
     TrainConfig,
     adam_step,
-    backward,
     backward_batch,
     clip_gradient_norm,
-    forward,
     forward_batch,
     init_params,
     train,
@@ -125,12 +123,12 @@ def test_criterion_3_gradient_check():
                                  hidden=hidden, output_dim=2)
             seq = rng.standard_normal((m, 6))
             tgt = 3.0 * rng.standard_normal((m, 2))
-            _, cache = forward(params, seq)
-            grads, _ = backward(params, cache, tgt)
+            _, cache = forward_batch(params, seq[None])
+            grads, _ = backward_batch(params, cache, tgt[None])
             gmax = max(np.max(np.abs(a)) for _, a in grads.arrays())
 
             def loss_of():
-                out, _ = forward(params, seq)
+                out, _ = forward_batch(params, seq[None])
                 return float(np.mean((out - tgt) ** 2))
 
             for (_, garr), (_, parr) in zip(grads.arrays(), params.arrays()):

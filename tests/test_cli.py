@@ -279,3 +279,42 @@ def test_per_patient_models_route_test_sequences(tmp_path):
     (out / "models" / "index.csv").write_text("patient,model_file\npb,pb.bpnet\n")
     assert main(["eval", "--config", str(cfg)]) == 0
     assert (out / "predictions.csv").read_text().splitlines()[1:] == expected_lines("pb")
+
+
+def test_preprocess_rebuilds_q_table_for_new_grid(tmp_path, synth_csv):
+    cfg = _write_config(tmp_path, synth_csv)
+    for stage in ("ingest", "preprocess"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    table = tmp_path / "out" / "qtable.csv"
+    assert len(table.read_text().splitlines()) == 1 + 41
+    cfg = _write_config(tmp_path, synth_csv, extra="tqwt.q_max = 1.2\n")
+    assert main(["preprocess", "--config", str(cfg)]) == 0
+    assert len(table.read_text().splitlines()) == 1 + 21
+    windows = (tmp_path / "out" / "pre" / "rec0" / "windows.csv").read_text().splitlines()[1:]
+    qs = [float(line.split(",")[2]) for line in windows]
+    assert qs and max(qs) <= 1.2
+
+
+def test_track_on_header_only_predictions_exits_2(tmp_path, synth_csv, capsys):
+    cfg = _write_config(tmp_path, synth_csv)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "predictions.csv").write_text("patient,start_index,sbp_true,sbp_est,dbp_true,dbp_est\n")
+    assert main(["track", "--config", str(cfg)]) == 2
+    assert "predictions file is empty" in capsys.readouterr().err
+    assert not (out / "tracking.csv").exists()
+
+
+def test_q_table_reused_only_when_it_fits(tmp_path, monkeypatch):
+    from bpnet import pipeline
+    from bpnet.config import parse_config
+
+    config = parse_config(f"out.dir = {tmp_path / 'out'}\n")
+    built = pipeline._q_table(config)
+    monkeypatch.setattr(pipeline, "build_q_lookup", lambda *args: pytest.fail("fitting table rebuilt"))
+    assert np.allclose(pipeline._q_table(config).centers_hz, built.centers_hz, rtol=1e-9)
+    monkeypatch.undo()
+    stale = parse_config(f"fs = 250\ntqwt.q_max = 1.2\nout.dir = {tmp_path / 'out'}\n")
+    table = pipeline._q_table(stale)
+    assert len(table) == 21 and table.centers_hz[0] == pytest.approx(1.626, abs=1e-3)
+    assert len((tmp_path / "out" / "qtable.csv").read_text().splitlines()) == 1 + 21

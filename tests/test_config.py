@@ -67,6 +67,14 @@ class TestErrors:
         with pytest.raises(ConfigError, match="sum to 1"):
             parse_config("split.train = 0.9\n")
 
+    def test_negative_split_fraction(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            parse_config("split.train = 0.8\nsplit.validation = 0.3\nsplit.test = -0.1\n")
+
+    def test_max_epochs_below_one(self):
+        with pytest.raises(ConfigError, match="train.max_epochs"):
+            parse_config("train.max_epochs = 0\n")
+
     def test_bad_fs(self):
         with pytest.raises(ConfigError, match="fs"):
             parse_config("fs = -5\n")

@@ -19,7 +19,6 @@ from bpnet.evaluate import (
     pearson_r,
     tracking_export,
 )
-from bpnet.segmentation import TargetPair
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles: plain-loop recomputation, no numpy vector tricks.
@@ -250,23 +249,19 @@ class TestReportAndTracking:
         assert lines[0].startswith("label,")
 
     def test_tracking_csv_line_count(self, rng, tmp_path):
-        truth = [TargetPair(120 + i * 0.01, 80.0) for i in range(100)]
-        preds = [TargetPair(119 + i * 0.01, 79.5) for i in range(100)]
+        truth = np.column_stack([120 + np.arange(100) * 0.01, np.full(100, 80.0)])
+        preds = np.column_stack([119 + np.arange(100) * 0.01, np.full(100, 79.5)])
         csv_path, svg_path = tracking_export(preds, truth, tmp_path / "track")
         lines = open(csv_path).read().splitlines()
         assert len(lines) == 101
 
     def test_tracking_svg_four_polylines(self, rng, tmp_path):
-        truth = [TargetPair(120.0, 80.0), TargetPair(125.0, 82.0), TargetPair(118.0, 78.0)]
-        preds = [TargetPair(121.0, 81.0), TargetPair(124.0, 81.0), TargetPair(119.0, 77.0)]
+        truth = np.array([[120.0, 80.0], [125.0, 82.0], [118.0, 78.0]])
+        preds = np.array([[121.0, 81.0], [124.0, 81.0], [119.0, 77.0]])
         _, svg_path = tracking_export(preds, truth, tmp_path / "track")
         svg = open(svg_path).read()
         assert svg.count("<polyline") == 4
 
-    def test_tracking_truth_only_two_polylines(self, tmp_path):
-        truth = [TargetPair(120.0, 80.0), TargetPair(125.0, 82.0)]
-        csv_path, svg_path = tracking_export(None, truth, tmp_path / "track")
-        svg = open(svg_path).read()
-        assert svg.count("<polyline") == 2
-        lines = open(csv_path).read().splitlines()
-        assert lines[1].split(",")[2] == ""
+    def test_tracking_rejects_misaligned_arrays(self, tmp_path):
+        with pytest.raises(EvaluateError, match="aligned"):
+            tracking_export(np.zeros((3, 2)), np.zeros((4, 2)), tmp_path / "track")

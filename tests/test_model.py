@@ -14,16 +14,13 @@ from bpnet.model import (
     TrainConfig,
     TrainedModel,
     adam_step,
-    backward,
     backward_batch,
     clip_gradient_norm,
-    forward,
     forward_batch,
     gradient_norm,
     init_params,
     load_model,
     lstm_forward,
-    predict,
     save_model,
     train,
 )
@@ -106,14 +103,14 @@ class TestFlatLayout:
 class TestForward:
     def test_zero_params_zero_outputs(self, rng):
         params = _tiny_params().zeros_like()
-        out, _ = forward(params, rng.standard_normal((6, 5)))
-        assert np.array_equal(out, np.zeros((6, 2)))
+        out, _ = forward_batch(params, rng.standard_normal((6, 5))[None])
+        assert np.array_equal(out[0], np.zeros((6, 2)))
 
     @pytest.mark.parametrize("m", [1, 10, 32])
     def test_output_shape(self, m, rng):
         params = _tiny_params()
-        out, _ = forward(params, rng.standard_normal((m, 5)))
-        assert out.shape == (m, 2)
+        out, _ = forward_batch(params, rng.standard_normal((m, 5))[None])
+        assert out[0].shape == (m, 2)
 
     def test_scalar_lstm_hand_oracle(self):
         # One unit, one step, x = 1, all gate weights 1, biases 0:
@@ -146,7 +143,7 @@ class TestForward:
         x = np.zeros((2, 5))
         x[1, 3] = np.inf
         with pytest.raises(ModelError, match="non-finite"):
-            forward(params, x)
+            forward_batch(params, x[None])
 
     @pytest.mark.parametrize("bad_step", [0, 2, 4])
     def test_non_finite_activation_names_first_step_and_layer(self, rng, bad_step):
@@ -164,18 +161,18 @@ class TestBackward:
     def test_zero_loss_zero_grads(self, rng):
         params = _tiny_params(seed=2)
         seq = rng.standard_normal((4, 5))
-        out, cache = forward(params, seq)
-        grads, loss = backward(params, cache, out.copy())
+        out, cache = forward_batch(params, seq[None])
+        grads, loss = backward_batch(params, cache, out.copy())
         assert loss == 0.0
         assert gradient_norm(grads) == 0.0
 
     def test_loss_quadratic_scaling(self, rng):
         params = _tiny_params(seed=3)
         seq = rng.standard_normal((4, 5))
-        out, cache = forward(params, seq)
+        out, cache = forward_batch(params, seq[None])
         delta = rng.standard_normal((4, 2))
-        _, loss1 = backward(params, cache, out + delta)
-        _, loss2 = backward(params, cache, out + 2 * delta)
+        _, loss1 = backward_batch(params, cache, out + delta)
+        _, loss2 = backward_batch(params, cache, out + 2 * delta)
         assert loss2 == pytest.approx(4 * loss1, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -188,12 +185,12 @@ class TestBackward:
                 params = _tiny_params(seed=hidden * 10 + m, hidden=hidden)
                 seq = rng.standard_normal((m, 5))
                 tgt = 3.0 * rng.standard_normal((m, 2))
-                _, cache = forward(params, seq)
-                grads, _ = backward(params, cache, tgt)
+                _, cache = forward_batch(params, seq[None])
+                grads, _ = backward_batch(params, cache, tgt[None])
                 gmax = max(np.max(np.abs(a)) for _, a in grads.arrays())
 
                 def loss_of():
-                    out, _ = forward(params, seq)
+                    out, _ = forward_batch(params, seq[None])
                     return float(np.mean((out - tgt) ** 2))
 
                 for (_, garr), (_, parr) in zip(grads.arrays(), params.arrays()):
@@ -332,14 +329,14 @@ def _toy_dataset(rng, count=8, m=4, input_dim=5):
 class TestTrain:
     def test_loss_decreases_and_best_epoch_selected(self, rng):
         dataset = _toy_dataset(rng)
-        config = TrainConfig(m=4, batch_size=8, max_epochs=30, patience=30, seed=1)
+        config = TrainConfig(batch_size=8, max_epochs=30, patience=30, seed=1)
         params, history = train(dataset, config)
         assert history.val_loss[history.best_epoch] == pytest.approx(min(history.val_loss))
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_fixed_seed_identical_runs(self, rng):
         dataset = _toy_dataset(rng)
-        config = TrainConfig(m=4, batch_size=8, max_epochs=5, patience=10, seed=3)
+        config = TrainConfig(batch_size=8, max_epochs=5, patience=10, seed=3)
         p1, h1 = train(dataset, config)
         p2, h2 = train(dataset, config)
         assert h1.train_loss == h2.train_loss
@@ -348,7 +345,7 @@ class TestTrain:
 
     def test_caller_params_unchanged(self, rng):
         dataset = _toy_dataset(rng)
-        config = TrainConfig(m=4, batch_size=8, max_epochs=3, patience=3, seed=2)
+        config = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=2)
         start = init_params(5, input_dim=513, dense_units=4, hidden=4, output_dim=2)
         before = start.flat.copy()
         trained, _ = train(dataset, config, params=start)
@@ -362,22 +359,40 @@ class TestTrain:
             train(empty, TrainConfig())
 
 
+def _tiny_model(seed: int, m: int = 6) -> TrainedModel:
+    return TrainedModel(_tiny_params(seed=seed), m=m, stats=ChannelStats(0.0, 1.0, 0.0, 1.0))
+
+
 class TestPredict:
     def test_inference_deterministic_and_finite(self, rng):
-        params = _tiny_params(seed=13)
+        model = _tiny_model(seed=13)
         seq = rng.standard_normal((6, 5))
-        a = predict(params, seq)
-        b = predict(params, seq)
+        a = model.predict(seq)
+        b = model.predict(seq)
         assert (a.sbp, a.dbp) == (b.sbp, b.dbp)
         assert np.isfinite(a.sbp) and np.isfinite(a.dbp)
 
     def test_final_step_is_returned(self, rng):
-        params = _tiny_params(seed=14)
+        model = _tiny_model(seed=14)
         seq = rng.standard_normal((6, 5))
-        out, _ = forward(params, seq)
-        pair = predict(params, seq)
-        assert pair.sbp == out[-1, 0]
-        assert pair.dbp == out[-1, 1]
+        out, _ = forward_batch(model.params, seq[None])
+        pair = model.predict(seq)
+        assert pair.sbp == out[0, -1, 0]
+        assert pair.dbp == out[0, -1, 1]
+
+    def test_single_predict_is_batch_row_bit_for_bit(self, rng):
+        model = _tiny_model(seed=17)
+        x = rng.standard_normal((3, 6, 5))
+        for seq in x:
+            pair = model.predict(seq)
+            row = model.predict_batch(seq[None])[0]
+            assert (pair.sbp, pair.dbp) == (row[0], row[1])
+
+    def test_predict_batch_rejects_non_finite_estimate(self, rng):
+        model = _tiny_model(seed=18)
+        model.params.head_b[1] = np.inf
+        with pytest.raises(ModelError, match="non-finite prediction"):
+            model.predict_batch(rng.standard_normal((2, 6, 5)))
 
     def test_trained_model_checks_m(self, rng):
         params = _tiny_params(seed=15)

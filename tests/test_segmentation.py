@@ -109,9 +109,9 @@ class TestTargets:
         n = int(2 / 1.2 * FS) + 1
         t = np.arange(n) / FS
         abp = 100 + 20 * np.sin(2 * np.pi * 1.2 * t)
-        pair = extract_targets(abp, FS, (0, n))
-        assert pair.sbp == pytest.approx(120.0, abs=0.5)
-        assert pair.dbp == pytest.approx(80.0, abs=0.5)
+        sbp, dbp = extract_targets(abp, FS, (0, n))
+        assert sbp == pytest.approx(120.0, abs=0.5)
+        assert dbp == pytest.approx(80.0, abs=0.5)
 
     def test_two_beat_averaging(self):
         seg = np.concatenate(
@@ -121,9 +121,9 @@ class TestTargets:
                 np.linspace(82, 100, 20),
             ]
         )
-        pair = extract_targets(seg, FS, (0, seg.size))
-        assert pair.sbp == pytest.approx(120.0)
-        assert pair.dbp == pytest.approx(80.0)
+        sbp, dbp = extract_targets(seg, FS, (0, seg.size))
+        assert sbp == pytest.approx(120.0)
+        assert dbp == pytest.approx(80.0)
 
     def test_implausible_values_rejected(self):
         n = int(2 / 1.2 * FS) + 1

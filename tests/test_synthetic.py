@@ -35,9 +35,9 @@ def test_abp_extrema_match_configured_pressures(clean_record):
     for k in (2, 10, 30):
         lo = int(rec.beat_times[k] * fs)
         hi = int(rec.beat_times[k + 2] * fs)
-        pair = extract_targets(rec.abp, fs, (lo, hi))
-        assert pair.sbp == pytest.approx(np.mean(rec.sbp_beats[k : k + 2]), abs=0.5)
-        assert pair.dbp == pytest.approx(np.mean(rec.dbp_beats[k : k + 2]), abs=0.5)
+        sbp, dbp = extract_targets(rec.abp, fs, (lo, hi))
+        assert sbp == pytest.approx(np.mean(rec.sbp_beats[k : k + 2]), abs=0.5)
+        assert dbp == pytest.approx(np.mean(rec.dbp_beats[k : k + 2]), abs=0.5)
 
 
 def test_timing_to_pressure_map_is_monotone(clean_record):
