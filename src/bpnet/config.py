@@ -10,6 +10,7 @@ window, M=32 with 40 s) and the gradient cap follows the sequence length
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 M_WINDOW_PAIRS = {10: 16.0, 32: 40.0}
@@ -100,7 +101,10 @@ def _parse_value(key: str, raw: str, target_type: str):
         if target_type == "int":
             return int(raw)
         if target_type == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None

@@ -45,7 +45,7 @@ class ModelError(ValueError):
     pass
 
 
-class NonFiniteActivation(FloatingPointError):
+class NonFiniteActivation(ModelError):
     """Forward pass overflowed; carries the offending step index."""
 
     def __init__(self, step: int, layer: str):

@@ -128,8 +128,13 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
     with _replaced_tree(out / "raw") as raw:
         for path in files:
             record = _load_record_file(path, config.fs)
-            triple = select_channels(record)
             name = record.descriptor.record_name
+            if record.descriptor.sampling_rate != config.fs:
+                raise DataError(
+                    f"record {name} is sampled at {record.descriptor.sampling_rate:g} Hz, "
+                    f"config fs is {config.fs:g} Hz"
+                )
+            triple = select_channels(record)
             rec_dir = raw / name
             rec_dir.mkdir(exist_ok=True)
             np.save(rec_dir / "ecg.npy", triple.ecg)
@@ -160,9 +165,12 @@ def _q_table(config: PipelineConfig) -> FrequencyTable:
     out = Path(config.out_dir)
     cache = out / "qtable.csv"
     if cache.exists():
-        table = FrequencyTable.from_csv(cache, config.fs, config.tqwt_levels, config.tqwt_r)
-        if _table_fits(table, config):
-            return table
+        try:
+            table = FrequencyTable.from_csv(cache, config.fs, config.tqwt_levels, config.tqwt_r)
+            if _table_fits(table, config):
+                return table
+        except (KeyError, TypeError, ValueError):
+            pass  # an unreadable cache is rebuilt like a stale one
     table = build_q_lookup(
         config.fs, config.tqwt_levels, config.q_min, config.q_max, config.q_step, config.tqwt_r
     )

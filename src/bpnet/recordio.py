@@ -192,6 +192,8 @@ def _parse_header(header_bytes: bytes) -> RecordDescriptor:
         num_samples = int(first[3])
     except ValueError as exc:
         raise HeaderError(f"malformed record line {lines[0]!r}: {exc}", offsets[0]) from None
+    if num_samples < 0:
+        raise HeaderError(f"negative sample count {num_samples} in record line {lines[0]!r}", offsets[0])
 
     if len(lines) - 1 < num_signals:
         raise HeaderError(

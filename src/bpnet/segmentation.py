@@ -109,24 +109,18 @@ class DatasetSplit:
     stats: ChannelStats
 
 
-def _plateau_local_maxima(x: np.ndarray) -> np.ndarray:
-    """Indices of local maxima, plateau-aware (center of each maximal run)."""
-    n = x.size
-    if n < 3:
-        return np.empty(0, dtype=int)
-    maxima = []
-    i = 1
-    while i < n - 1:
-        if x[i] > x[i - 1]:
-            j = i
-            while j < n - 1 and x[j + 1] == x[i]:
-                j += 1
-            if j < n - 1 and x[j + 1] < x[i]:
-                maxima.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
-    return np.asarray(maxima, dtype=int)
+def _plateau_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of local (maxima, minima), plateau-aware.
+
+    A run of equal samples is a maximum when both neighbours are lower and a
+    minimum when both are higher; its index is the run's centre.  Runs at
+    either end of `x` have one neighbour and never count.
+    """
+    edges = np.flatnonzero(np.diff(x)) + 1  # run starts, the first run aside
+    starts, ends = edges[:-1], edges[1:] - 1
+    level, left, right = x[starts], x[starts - 1], x[ends + 1]
+    centre = (starts + ends) // 2
+    return centre[(left < level) & (right < level)], centre[(left > level) & (right > level)]
 
 
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -194,7 +188,7 @@ def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
     if x.size < int(fs):
         raise SegmentationError("PPG window shorter than one second")
     smooth = _moving_average(x, int(round(0.04 * fs)))
-    candidates = _plateau_local_maxima(smooth)
+    candidates = _plateau_extrema(smooth)[0]
     coarse = _adaptive_pick(smooth, candidates, fs, PPG_REFRACTORY_S, signal_weight=0.5)
 
     half = int(round(0.06 * fs))
@@ -211,10 +205,7 @@ def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
 def resample_to(slice_: np.ndarray, points: int = WAVE_POINTS) -> np.ndarray:
     """Linear-interpolation resample onto a uniform grid of `points` samples."""
     n = slice_.size
-    if n == points:
-        return slice_.astype(float, copy=True)
-    grid = np.linspace(0.0, n - 1.0, points)
-    return np.interp(grid, np.arange(n, dtype=float), slice_)
+    return np.interp(np.linspace(0.0, n - 1.0, points), np.arange(n, dtype=float), slice_)
 
 
 def build_feature_vector(
@@ -250,12 +241,9 @@ def _span_extrema(seg: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     if hi - lo <= 1e-9:
         return np.empty(0, dtype=int), np.empty(0, dtype=int)
     mid = 0.5 * (lo + hi)
-    maxima = _plateau_local_maxima(seg)
-    maxima = maxima[seg[maxima] > mid]
-    maxima = _dedupe_refractory(list(maxima), seg, spacing)
-    minima = _plateau_local_maxima(-seg)
-    minima = minima[seg[minima] < mid]
-    minima = _dedupe_refractory(list(minima), -seg, spacing)
+    maxima, minima = _plateau_extrema(seg)
+    maxima = _dedupe_refractory(list(maxima[seg[maxima] > mid]), seg, spacing)
+    minima = _dedupe_refractory(list(minima[seg[minima] < mid]), -seg, spacing)
     return maxima, minima
 
 
@@ -355,7 +343,10 @@ def split_and_standardize(
     moments = []
     for lo in (0, WAVE_POINTS):
         channel = samples.vectors[:, lo : lo + WAVE_POINTS][rows].ravel()
-        moments += [float(np.mean(channel)), float(np.std(channel)) or 1.0]
+        mean = float(np.mean(channel))
+        channel -= mean  # np.std's own steps, in place on the gathered copy
+        channel *= channel
+        moments += [mean, float(np.sqrt(np.sum(channel) / channel.size)) or 1.0]
         del channel  # freed before the next channel is gathered
     stats = ChannelStats(*moments)
     standardize_features(samples.vectors, stats)

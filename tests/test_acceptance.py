@@ -25,13 +25,11 @@ from bpnet.evaluate import (
 )
 from bpnet.model import (
     AdamState,
-    TrainConfig,
     adam_step,
     backward_batch,
     clip_gradient_norm,
     forward_batch,
     init_params,
-    train,
 )
 from bpnet.pipeline import (
     stage_eval,

@@ -1,6 +1,5 @@
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +317,48 @@ def test_q_table_reused_only_when_it_fits(tmp_path, monkeypatch):
     table = pipeline._q_table(stale)
     assert len(table) == 21 and table.centers_hz[0] == pytest.approx(1.626, abs=1e-3)
     assert len((tmp_path / "out" / "qtable.csv").read_text().splitlines()) == 1 + 21
+
+
+def test_eval_nan_lstm_weight_exits_2(tmp_path, synth_csv, capsys):
+    from bpnet.model import load_model, save_model
+
+    cfg, model_path = _trained_run(tmp_path, synth_csv)
+    trained = load_model(model_path)
+    trained.params.fw.wx[0, 0] = np.nan
+    save_model(trained, model_path)
+    assert main(["eval", "--config", str(cfg)]) == 2
+    assert "non-finite activation at step 0 in forward lstm" in capsys.readouterr().err
+
+
+def test_ingest_rejects_record_at_other_rate(tmp_path, capsys):
+    from bpnet.recordio import write_wfdb_record
+
+    adc = np.arange(250 * 20) % 100
+    header, payload = write_wfdb_record("fast", 250.0, ["II", "PLETH"], [adc, adc], fmt=16)
+    (tmp_path / "fast.hea").write_bytes(header)
+    (tmp_path / "fast.dat").write_bytes(payload)
+    cfg = _write_config(tmp_path, tmp_path / "fast.hea")
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "record fast" in err and "250 Hz" in err and "125 Hz" in err
+    cfg = _write_config(tmp_path, tmp_path / "fast.hea", extra="fs = 250\n")
+    assert main(["ingest", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        "a,b\n1,2\n",
+        "q,center_hz,lower3db_hz\n1.0,x,0.5\n",
+        "q,center_hz,lower3db_hz\n",
+        "q,center_hz,lower3db_hz\n1.0\n",
+    ],
+    ids=["wrong-header", "non-numeric", "header-only", "short-row"],
+)
+def test_preprocess_rebuilds_unreadable_q_table(tmp_path, synth_csv, cached):
+    cfg = _write_config(tmp_path, synth_csv)
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    table = tmp_path / "out" / "qtable.csv"
+    table.write_text(cached)
+    assert main(["preprocess", "--config", str(cfg)]) == 0
+    assert len(table.read_text().splitlines()) == 1 + 41

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from bpnet.config import ConfigError, PipelineConfig, parse_config
+from bpnet.config import ConfigError, parse_config
 
 
 class TestDefaults:
@@ -78,6 +80,11 @@ class TestErrors:
     def test_bad_fs(self):
         with pytest.raises(ConfigError, match="fs"):
             parse_config("fs = -5\n")
+
+    @pytest.mark.parametrize("key, value", [("fs", "nan"), ("tqwt.q_step", "nan"), ("train.lr", "inf")])
+    def test_non_finite_float_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{re.escape(key)}': not a finite number"):
+            parse_config(f"{key} = {value}\n")
 
 
 class TestCanonicalForm:

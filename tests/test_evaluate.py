@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpnet.evaluate import (
-    BlandAltman,
     ErrorSeries,
     EvaluateError,
     aami_check,

@@ -9,7 +9,6 @@ from bpnet.model import (
     AdamState,
     LstmWeights,
     ModelError,
-    ModelParams,
     NonFiniteActivation,
     TrainConfig,
     TrainedModel,

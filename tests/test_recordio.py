@@ -11,7 +11,6 @@ from bpnet.recordio import (
     RecordIOError,
     SignalSpec,
     TruncatedSignalError,
-    decode_format_16,
     decode_format_212,
     encode_format_212,
     read_csv_record,
@@ -106,6 +105,13 @@ def test_wfdb_record_with_gain_and_baseline():
 def test_malformed_header_line_reports_offset():
     with pytest.raises(HeaderError, match="byte offset"):
         read_wfdb_record(b"rec one_signal 125\n", b"")
+
+
+def test_negative_sample_count_rejected_at_record_line():
+    header = b"# two signals\nw 2 125 -4\nw.dat 16 1 0 mV II\nw.dat 16 1 0 adu PLETH\n"
+    with pytest.raises(HeaderError, match="negative sample count -4") as exc:
+        read_wfdb_record(header, b"")
+    assert "byte offset 14" in str(exc.value) and exc.value.byte_offset == 14
 
 
 def test_unsupported_format_rejected():

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from bpnet.segmentation import (
     FEATURE_DIM,
+    ChannelStats,
     DatasetError,
     SampleRejected,
     SegmentationError,
     Sequences,
+    _plateau_extrema,
     build_feature_vector,
     build_sequences,
     detect_ppg_peaks,
@@ -62,6 +64,38 @@ class TestPpgPeaks:
     def test_flat_signal_rejected(self):
         with pytest.raises(SegmentationError, match="PPG peaks"):
             detect_ppg_peaks(np.zeros(int(8 * FS)), FS)
+
+
+def _scan_maxima(x):
+    """Reference per-sample scan: the centre of each run whose neighbours are both lower."""
+    n, maxima, i = x.size, [], 1
+    while i < n - 1:
+        if x[i] > x[i - 1]:
+            j = i
+            while j < n - 1 and x[j + 1] == x[i]:
+                j += 1
+            if j < n - 1 and x[j + 1] < x[i]:
+                maxima.append((i + j) // 2)
+            i = j + 1
+        else:
+            i += 1
+    return np.asarray(maxima, dtype=int)
+
+
+class TestPlateauExtrema:
+    def test_matches_reference_scan_on_tie_heavy_vectors(self):
+        rng = np.random.default_rng(7)
+        for _ in range(12_000):
+            x = rng.integers(0, 4, rng.integers(0, 41)).astype(float)
+            maxima, minima = _plateau_extrema(x)
+            assert np.array_equal(maxima, _scan_maxima(x)), x
+            assert np.array_equal(minima, _scan_maxima(-x)), x
+
+    def test_plateau_centres_and_open_ends(self):
+        x = np.array([5.0, 1, 3, 3, 3, 3, 0, 0, 0, 2, 2])
+        maxima, minima = _plateau_extrema(x)
+        # The leading 5 and the trailing 2-run each have one neighbour only.
+        assert maxima.tolist() == [3] and minima.tolist() == [1, 7]
 
 
 class TestFeatureVector:
@@ -229,6 +263,13 @@ class TestSplit:
         assert abs(np.mean(ppg_all)) <= 1e-9
         assert abs(np.std(ppg_all) - 1.0) <= 1e-9
 
+    def test_stats_equal_numpy_moments_of_gathered_train_rows(self):
+        samples = _toy_samples(50)
+        raw = samples.vectors.copy()
+        split = split_and_standardize(samples)
+        ecg, ppg = (raw[:, lo : lo + 256][split.train.rows()].ravel() for lo in (0, 256))
+        assert split.stats == ChannelStats(np.mean(ecg), np.std(ecg), np.mean(ppg), np.std(ppg))
+
     def test_validation_uses_train_statistics(self):
         rng = np.random.default_rng(1)
         samples = _toy_samples(50, rng=rng)
@@ -376,7 +417,8 @@ class TestDatasetFile:
 
     def test_resample_helper_identity(self, rng):
         x = rng.standard_normal(256)
-        assert np.array_equal(resample_to(x), x)
+        x[::17] = -0.0
+        assert resample_to(x).tobytes() == x.tobytes()
         assert resample_to(x) is not x
 
 
