@@ -179,8 +179,17 @@ def _q_table(config: PipelineConfig) -> FrequencyTable:
     return table
 
 
+CHANNELS = ("ecg", "ppg")
+STACK_ROWS = 64  # ~250 KB of transform workspace per row: bounds memory on long records
+
+
 def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre_dir: Path) -> None:
-    """Denoise one record's ECG and PPG window by window into `pre_dir`."""
+    """Denoise one record's ECG and PPG windows into `pre_dir`, one stack per Q.
+
+    Q is chosen per channel window (ECG then PPG, window by window); the
+    windows that share a Q are then denoised together.  A channel window with
+    a non-finite sample is written as NaN with empty `q` and peak cells.
+    """
     window = config.window_samples()
     ecg = np.load(raw_dir / "ecg.npy")
     ppg = np.load(raw_dir / "ppg.npy")
@@ -190,31 +199,32 @@ def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: P
             f"record {raw_dir.name}: {ecg.size} samples shorter than one "
             f"{window}-sample window"
         )
-    ecg_out = np.zeros(n_windows * window)
-    ppg_out = np.zeros(n_windows * window)
-    rows = []
+    windows = np.stack([x[: n_windows * window].reshape(n_windows, window) for x in (ecg, ppg)], axis=1)
+    qs = np.full(windows.shape[:2], np.nan)
+    lines = ["window,channel,q,peak_hz,left_end_hz,prominence"]
     for w in range(n_windows):
-        lo, hi = w * window, (w + 1) * window
-        for channel, src, dst in (("ecg", ecg, ecg_out), ("ppg", ppg, ppg_out)):
-            peak = spectrum_peak(src[lo:hi], config.fs)
-            q = select_q(peak, table)
-            dst[lo:hi] = denoise_window(src[lo:hi], q, table)
-            rows.append(
-                [
-                    w, channel, f"{q:.4g}",
-                    f"{peak.frequency_hz:.6g}" if peak else "",
-                    f"{peak.left_end_hz:.6g}" if peak else "",
-                    f"{peak.prominence:.6g}" if peak else "",
-                ]
-            )
+        for c, channel in enumerate(CHANNELS):
+            cells = ["", "", "", ""]
+            if np.all(np.isfinite(windows[w, c])):
+                peak = spectrum_peak(windows[w, c], config.fs)
+                qs[w, c] = q = select_q(peak, table)
+                cells[0] = f"{q:.4g}"
+                if peak is not None:
+                    cells[1:] = [f"{v:.6g}" for v in (peak.frequency_hz, peak.left_end_hz, peak.prominence)]
+            lines.append(",".join([str(w), channel, *cells]))
+
+    denoised = np.full(windows.shape, np.nan)
+    for q in np.unique(qs[np.isfinite(qs)]):
+        w_idx, c_idx = np.nonzero(qs == q)
+        for lo in range(0, w_idx.size, STACK_ROWS):
+            rows = w_idx[lo : lo + STACK_ROWS], c_idx[lo : lo + STACK_ROWS]
+            denoised[rows] = denoise_window(windows[rows], float(q), table)
     pre_dir.mkdir()
-    np.save(pre_dir / "ecg.npy", ecg_out)
-    np.save(pre_dir / "ppg.npy", ppg_out)
+    for c, channel in enumerate(CHANNELS):
+        np.save(pre_dir / f"{channel}.npy", denoised[:, c].reshape(-1))
     abp_path = raw_dir / "abp.npy"
     if abp_path.exists():
         np.save(pre_dir / "abp.npy", np.load(abp_path)[: n_windows * window])
-    lines = ["window,channel,q,peak_hz,left_end_hz,prominence"]
-    lines += [",".join(str(c) for c in row) for row in rows]
     (pre_dir / "windows.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -226,7 +236,7 @@ def stage_preprocess(config: PipelineConfig) -> list[str]:
     with _replaced_tree(out / "pre") as pre:
         for name in names:
             _preprocess_record(config, table, out / "raw" / name, pre / name)
-    written = [str(out / "pre" / name / f"{channel}.npy") for name in names for channel in ("ecg", "ppg")]
+    written = [str(out / "pre" / name / f"{channel}.npy") for name in names for channel in CHANNELS]
     _update_manifest(config, "preprocess", names, written)
     return names
 
@@ -247,6 +257,8 @@ def stage_segment(config: PipelineConfig) -> DatasetSplit:
         abp = np.load(abp_path)
         for lo in range(0, ecg.size - window + 1, window):
             hi = lo + window
+            if not all(np.all(np.isfinite(x[lo:hi])) for x in (ecg, ppg, abp)):
+                continue  # a window preprocess dropped, or a gap in the ABP
             try:
                 part = build_sequences(
                     ecg[lo:hi], ppg[lo:hi], abp[lo:hi], config.fs, config.m,

@@ -127,43 +127,57 @@ def select_q(peak: Optional[FundamentalPeak], table: FrequencyTable) -> float:
     return float(table.qs[best])
 
 
-def sure_threshold(coeffs: np.ndarray, sigma: float) -> float:
-    """Risk-estimate threshold over sigma-normalized sorted squared coeffs."""
+def sure_threshold(coeffs: np.ndarray, sigma: float | np.ndarray) -> np.ndarray:
+    """Risk-estimate threshold over sigma-normalized sorted squared coeffs.
+
+    Works row by row along the last axis; `sigma` broadcasts against the
+    rows as shape (..., 1), and the result holds one threshold per row in
+    that shape.
+    """
     w = np.asarray(coeffs, dtype=float) / sigma
-    n = w.size
-    sx2 = np.sort(w * w)
-    cumsum = np.cumsum(sx2)
+    n = w.shape[-1]
+    sx2 = np.sort(w * w, axis=-1)
+    cumsum = np.cumsum(sx2, axis=-1)
     k = np.arange(1, n + 1)
     risk = (n - 2.0 * k + cumsum + (n - k) * sx2) / n
-    return sigma * float(np.sqrt(sx2[int(np.argmin(risk))]))
+    best = np.take_along_axis(sx2, np.argmin(risk, axis=-1)[..., None], axis=-1)
+    return sigma * np.sqrt(best)
 
 
-def soft_shrink(values: np.ndarray, threshold: float) -> np.ndarray:
+def soft_shrink(values: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
     return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
 
 
 def rigrsure_soft_denoise(subbands: SubbandSet) -> SubbandSet:
     """Per-subband soft thresholding; the lowpass residual passes untouched.
 
-    The noise scale comes from the finest subband's median absolute
-    coefficient / 0.6745; each highpass subband gets its own risk-estimate
-    threshold.  Degenerate (all-zero) subbands pass through unchanged.
+    Each row (one signal of a stack) is denoised on its own.  The noise
+    scale comes from the finest subband's median absolute coefficient /
+    0.6745; each highpass subband gets its own risk-estimate threshold.
+    Rows whose noise scale is not positive, and all-zero bands of a row,
+    pass through unchanged.  The result shares the bands it leaves as they
+    are with `subbands`.
     """
-    out = subbands.copy()
-    finest = subbands.highpass[0]
-    sigma = float(np.median(np.abs(finest))) / 0.6745
-    if sigma <= 0.0 or not np.isfinite(sigma):
-        return out
-    for i, band in enumerate(out.highpass):
-        if band.size == 0 or not np.any(band):
+    sigma = np.median(np.abs(subbands.highpass[0]), axis=-1, keepdims=True) / 0.6745
+    usable = (sigma > 0.0) & np.isfinite(sigma)
+    sigma = np.where(usable, sigma, 1.0)  # masked rows: any finite scale, result discarded
+    highpass = []
+    for band in subbands.highpass:
+        keep = usable & np.any(band, axis=-1, keepdims=True)
+        if not keep.any():
+            highpass.append(band)
             continue
-        t = sure_threshold(band, sigma)
-        out.highpass[i] = soft_shrink(band, t)
-    return out
+        shrunk = soft_shrink(band, sure_threshold(band, sigma))
+        highpass.append(shrunk if keep.all() else np.where(keep, shrunk, band))
+    return SubbandSet(highpass, subbands.lowpass, subbands.n_signal, subbands.n_padded)
 
 
 def denoise_window(signal: np.ndarray, q: float, table: FrequencyTable) -> np.ndarray:
-    """Decompose at `q`, zero the lowpass residual, denoise, resynthesize."""
+    """Decompose at `q`, zero the lowpass residual, denoise, resynthesize.
+
+    `signal` is one window (N,) or a stack of windows (K, N) that share `q`;
+    a stack returns each row bit for bit as its own 1-D call would.
+    """
     params = TqwtParams(q=q, r=table.r, levels=table.level)
     sb = decompose(signal, params)
     sb.lowpass = np.zeros_like(sb.lowpass)

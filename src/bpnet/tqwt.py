@@ -12,13 +12,20 @@ moment Daubechies filter, which makes analysis/synthesis an exact Parseval
 frame: reconstruction of unmodified subbands reproduces the input to floating
 point accuracy.  Signals are zero-extended to the next power of two
 internally and truncated on synthesis.
+
+Both directions work along the last axis, so a (K, N) stack of signals that
+share one Q goes through every FFT and band copy in one call.  Each level's
+geometry (lengths, bin counts, transition weights) is computed once per
+(padded length, Q, r, J) and kept in a bounded cache.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +68,11 @@ class TqwtParams:
 
 @dataclass
 class SubbandSet:
-    """Highpass subbands for levels 1..J plus the final lowpass residual."""
+    """Highpass subbands for levels 1..J plus the final lowpass residual.
+
+    Each band holds one row per transformed signal: shape (n,) for a single
+    signal, (K, n) for a stack of K signals.
+    """
 
     highpass: list[np.ndarray]
     lowpass: np.ndarray
@@ -71,14 +82,6 @@ class SubbandSet:
     @property
     def levels(self) -> int:
         return len(self.highpass)
-
-    def copy(self) -> "SubbandSet":
-        return SubbandSet(
-            [np.array(h) for h in self.highpass],
-            np.array(self.lowpass),
-            self.n_signal,
-            self.n_padded,
-        )
 
 
 def _theta(v: np.ndarray) -> np.ndarray:
@@ -103,118 +106,141 @@ def _level_lengths(n_padded: int, alpha: float, beta: float, level: int) -> tupl
     return n_in, n_lo, n_hi
 
 
-def _band_layout(n: int, n_lo: int, n_hi: int) -> tuple[int, int, np.ndarray]:
-    """Passband/transition bin counts and transition weights for one stage."""
-    p = (n - n_hi) // 2
-    t = (n_lo + n_hi - n) // 2 - 1
-    if p < 0 or t < 0:
-        raise TqwtError(f"degenerate band geometry (n={n}, n_lo={n_lo}, n_hi={n_hi})")
-    v = np.arange(1, t + 1) * np.pi / (t + 1)
-    return p, t, _theta(v)
+class _Stage(NamedTuple):
+    """One level's band geometry: lengths, passband and transition bin counts,
+    and the transition weights in both directions."""
+
+    n_in: int
+    n_lo: int
+    n_hi: int
+    p: int
+    t: int
+    trans: np.ndarray
+    rev: np.ndarray
 
 
-def _afb(X: np.ndarray, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis stage on a unitary DFT vector."""
-    n = X.size
-    p, t, trans = _band_layout(n, n_lo, n_hi)
+@functools.lru_cache(maxsize=64)
+def _layout(n_padded: int, params: TqwtParams) -> tuple[_Stage, ...]:
+    """Every level's geometry for one padded length; bounded because callers
+    may ask for any Q."""
+    stages = []
+    for level in range(1, params.levels + 1):
+        n, n_lo, n_hi = _level_lengths(n_padded, params.alpha, params.beta, level)
+        p = (n - n_hi) // 2
+        t = (n_lo + n_hi - n) // 2 - 1
+        if p < 0 or t < 0:
+            raise TqwtError(f"degenerate band geometry (n={n}, n_lo={n_lo}, n_hi={n_hi})")
+        trans = _theta(np.arange(1, t + 1) * np.pi / (t + 1))
+        rev = trans[::-1].copy()
+        trans.flags.writeable = rev.flags.writeable = False
+        stages.append(_Stage(n, n_lo, n_hi, p, t, trans, rev))
+    return tuple(stages)
 
-    lo = np.zeros(n_lo, dtype=complex)
-    lo[0] = X[0]
+
+def _afb(X: np.ndarray, s: _Stage) -> tuple[np.ndarray, np.ndarray]:
+    """One analysis stage on unitary DFT rows (last axis)."""
+    n, n_lo, n_hi, p, t, h = s.n_in, s.n_lo, s.n_hi, s.p, s.t, s.n_hi // 2
+
+    lo = np.zeros((*X.shape[:-1], n_lo), dtype=complex)
+    lo[..., 0] = X[..., 0]
     if p > 0:
-        lo[1 : p + 1] = X[1 : p + 1]
-        lo[n_lo - p :] = X[n - p :]
+        lo[..., 1 : p + 1] = X[..., 1 : p + 1]
+        lo[..., n_lo - p :] = X[..., n - p :]
     if t > 0:
-        lo[p + 1 : p + t + 1] = X[p + 1 : p + t + 1] * trans
-        lo[n_lo - p - t : n_lo - p] = X[n - p - t : n - p] * trans[::-1]
+        lo[..., p + 1 : p + t + 1] = X[..., p + 1 : p + t + 1] * s.trans
+        lo[..., n_lo - p - t : n_lo - p] = X[..., n - p - t : n - p] * s.rev
     # lo[n_lo // 2] stays zero: the output Nyquist sits in the H0 stopband.
 
-    hi = np.zeros(n_hi, dtype=complex)
+    hi = np.zeros((*X.shape[:-1], n_hi), dtype=complex)
     if t > 0:
-        hi[1 : t + 1] = X[p + 1 : p + t + 1] * trans[::-1]
-        hi[n_hi - t :] = X[n - p - t : n - p] * trans
-    m = np.arange(t + 1, n_hi // 2)
-    hi[m] = X[p + m]
-    hi[n_hi - m] = X[n - p - m]
-    hi[n_hi // 2] = X[n // 2]
+        hi[..., 1 : t + 1] = X[..., p + 1 : p + t + 1] * s.rev
+        hi[..., n_hi - t :] = X[..., n - p - t : n - p] * s.trans
+    # Bins t+1 .. h-1 of each half are pure passband copies.
+    hi[..., t + 1 : h] = X[..., p + t + 1 : p + h]
+    hi[..., h + 1 : n_hi - t] = X[..., n - p - h + 1 : n - p - t]
+    hi[..., h] = X[..., n // 2]
     return lo, hi
 
 
-def _sfb(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Exact adjoint of :func:`_afb`; returns the parent DFT vector."""
-    n_lo, n_hi = lo.size, hi.size
-    p, t, trans = _band_layout(n, n_lo, n_hi)
+def _sfb(lo: np.ndarray, hi: np.ndarray, s: _Stage) -> np.ndarray:
+    """Exact adjoint of :func:`_afb`; returns the parent DFT rows."""
+    n, n_lo, n_hi, p, t, h = s.n_in, s.n_lo, s.n_hi, s.p, s.t, s.n_hi // 2
 
-    X = np.zeros(n, dtype=complex)
-    X[0] = lo[0]
+    X = np.zeros((*lo.shape[:-1], n), dtype=complex)
+    X[..., 0] = lo[..., 0]
     if p > 0:
-        X[1 : p + 1] = lo[1 : p + 1]
-        X[n - p :] = lo[n_lo - p :]
+        X[..., 1 : p + 1] = lo[..., 1 : p + 1]
+        X[..., n - p :] = lo[..., n_lo - p :]
     if t > 0:
-        X[p + 1 : p + t + 1] = lo[p + 1 : p + t + 1] * trans + hi[1 : t + 1] * trans[::-1]
-        X[n - p - t : n - p] = lo[n_lo - p - t : n_lo - p] * trans[::-1] + hi[n_hi - t :] * trans
-    m = np.arange(t + 1, n_hi // 2)
-    X[p + m] = hi[m]
-    X[n - p - m] = hi[n_hi - m]
-    X[n // 2] = hi[n_hi // 2]
+        X[..., p + 1 : p + t + 1] = lo[..., p + 1 : p + t + 1] * s.trans + hi[..., 1 : t + 1] * s.rev
+        X[..., n - p - t : n - p] = lo[..., n_lo - p - t : n_lo - p] * s.rev + hi[..., n_hi - t :] * s.trans
+    X[..., p + t + 1 : p + h] = hi[..., t + 1 : h]
+    X[..., n - p - h + 1 : n - p - t] = hi[..., h + 1 : n_hi - t]
+    X[..., n // 2] = hi[..., h]
     return X
 
 
 def _udft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x) / math.sqrt(x.size)
+    return np.fft.fft(x) / math.sqrt(x.shape[-1])
 
 
 def _iudft(X: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(X) * math.sqrt(X.size))
+    return np.real(np.fft.ifft(X) * math.sqrt(X.shape[-1]))
 
 
 def decompose(signal: np.ndarray, params: TqwtParams) -> SubbandSet:
-    """Split `signal` into J highpass subbands plus a lowpass residual."""
+    """Split `signal` into J highpass subbands plus a lowpass residual.
+
+    `signal` is one signal of shape (N,) or a stack of K signals of shape
+    (K, N); every row is transformed along the last axis, and each row of a
+    stack comes out bit for bit as its own 1-D call would.
+    """
     x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise TqwtError(f"expected 1-D signal, got shape {x.shape}")
+    if x.ndim not in (1, 2):
+        raise TqwtError(f"expected a (N,) signal or a (K, N) stack, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise TqwtError("signal contains non-finite samples")
 
-    n_padded = _next_pow2(max(x.size, 2))
+    n_signal = x.shape[-1]
+    n_padded = _next_pow2(max(n_signal, 2))
     if 2 * round(params.alpha**params.levels * n_padded / 2) < 8:
         raise TqwtError(
-            f"signal of length {x.size} too short for {params.levels} levels "
+            f"signal of length {n_signal} too short for {params.levels} levels "
             f"(need >= {params.min_signal_length()} samples)"
         )
 
-    padded = np.zeros(n_padded)
-    padded[: x.size] = x
+    padded = np.zeros((*x.shape[:-1], n_padded))
+    padded[..., :n_signal] = x
     X = _udft(padded)
 
     highpass: list[np.ndarray] = []
-    for level in range(1, params.levels + 1):
-        n_in, n_lo, n_hi = _level_lengths(n_padded, params.alpha, params.beta, level)
-        if X.size != n_in:
-            raise TqwtError(f"internal length mismatch at level {level}")
-        X, hi = _afb(X, n_lo, n_hi)
+    for stage in _layout(n_padded, params):
+        X, hi = _afb(X, stage)
         highpass.append(_iudft(hi))
-    return SubbandSet(highpass, _iudft(X), x.size, n_padded)
+    return SubbandSet(highpass, _iudft(X), n_signal, n_padded)
 
 
 def reconstruct(subbands: SubbandSet, params: TqwtParams) -> np.ndarray:
     """Inverse filter bank; exact for subbands produced by :func:`decompose`.
 
-    Subbands may be modified (zeroed, thresholded) before synthesis.
+    Subbands may be modified (zeroed, thresholded) before synthesis.  Returns
+    one row per row of the subbands, truncated to the original length.
     """
     if subbands.levels != params.levels:
         raise TqwtError(
             f"subband count {subbands.levels} does not match params levels {params.levels}"
         )
-    for level in range(1, params.levels + 1):
-        _, _, n_hi = _level_lengths(subbands.n_padded, params.alpha, params.beta, level)
-        if subbands.highpass[level - 1].size != n_hi:
+    stages = _layout(subbands.n_padded, params)
+    for level, (stage, band) in enumerate(zip(stages, subbands.highpass), start=1):
+        if band.shape[-1] != stage.n_hi:
             raise TqwtError(f"subband length mismatch at level {level}")
+    if subbands.lowpass.shape[-1] != stages[-1].n_lo:
+        raise TqwtError("lowpass length mismatch")
 
     X = _udft(subbands.lowpass)
-    for level in range(params.levels, 0, -1):
-        n_in, _, _ = _level_lengths(subbands.n_padded, params.alpha, params.beta, level)
-        X = _sfb(X, _udft(subbands.highpass[level - 1]), n_in)
-    return _iudft(X)[: subbands.n_signal]
+    for stage, band in zip(reversed(stages), reversed(subbands.highpass)):
+        X = _sfb(X, _udft(band), stage)
+    return _iudft(X)[..., : subbands.n_signal]
 
 
 def _h0_magnitude(w: np.ndarray, alpha: float, beta: float) -> np.ndarray:

@@ -227,19 +227,93 @@ def test_reingest_drops_stale_records(tmp_path, capsys):
 
 
 def test_failed_preprocess_leaves_no_partial_record(tmp_path, synth_csv, capsys):
+    # rec0 is written first; "short" (8 s) is shorter than one window.
+    data = tmp_path / "data"
+    data.mkdir()
     lines = synth_csv.read_text().splitlines(keepends=True)
-    cells = lines[500].split(",")
-    lines[500] = ",".join([cells[0], "nan", *cells[2:]])
-    record = tmp_path / "nan.csv"
-    record.write_text("".join(lines))
-    cfg = _write_config(tmp_path, record)
+    (data / "rec0.csv").write_text("".join(lines))
+    (data / "short.csv").write_text("".join(lines[:1001]))
+    cfg = _write_config(tmp_path, data)
     assert main(["ingest", "--config", str(cfg)]) == 0
     assert main(["preprocess", "--config", str(cfg)]) == 2
+    assert "record short" in capsys.readouterr().err
     out = tmp_path / "out"
-    assert not (out / "pre" / "nan").exists() and not (out / "pre.tmp").exists()
-    capsys.readouterr()
+    assert not (out / "pre" / "rec0").exists() and not (out / "pre.tmp").exists()
     assert main(["segment", "--config", str(cfg)]) == 2
     assert "run preprocess first" in capsys.readouterr().err
+
+
+def _window_starts(split) -> np.ndarray:
+    return np.concatenate([part.start for part in (split.train, split.validation, split.test)])
+
+
+@pytest.mark.parametrize("column, channel", [(1, "ecg"), (2, "ppg"), (3, "abp")])
+def test_non_finite_sample_drops_only_its_window(tmp_path, synth_csv, column, channel):
+    from bpnet.segmentation import load_dataset
+
+    window = 2000  # 16 s at 125 Hz
+    clean_text = synth_csv.read_text()
+    lines = clean_text.splitlines(keepends=True)
+    cells = lines[500].split(",")  # sample 499, in window 0
+    cells[column] = "nan"
+    lines[500] = ",".join(cells) + ("\n" if column == 3 else "")
+    outs = {}
+    for name, text in (("clean", clean_text), ("nan", "".join(lines))):
+        record = tmp_path / name / "rec0.csv"
+        record.parent.mkdir()
+        record.write_text(text)
+        cfg = _write_config(tmp_path / name, record)
+        for stage in ("ingest", "preprocess", "segment"):
+            assert main([stage, "--config", str(cfg)]) == 0, (name, stage)
+        outs[name] = tmp_path / name / "out"
+
+    clean, dropped = (outs[k] / "pre" / "rec0" for k in ("clean", "nan"))
+    for ch in ("ecg", "ppg", "abp"):
+        got, want = np.load(dropped / f"{ch}.npy"), np.load(clean / f"{ch}.npy")
+        if ch != channel:
+            assert got.tobytes() == want.tobytes()
+        else:  # a dropped ECG / PPG window is all NaN; ABP passes through as read
+            assert np.isnan(got[:window]).all() if ch != "abp" else np.isnan(got[499])
+            assert got[window:].tobytes() == want[window:].tobytes()
+    rows = (dropped / "windows.csv").read_text().splitlines()
+    clean_rows = (clean / "windows.csv").read_text().splitlines()
+    if channel == "abp":
+        assert rows == clean_rows
+    else:
+        index = 1 if channel == "ecg" else 2
+        assert rows[index] == f"0,{channel},,,,"
+        assert rows[:index] + rows[index + 1 :] == clean_rows[:index] + clean_rows[index + 1 :]
+
+    clean_starts = _window_starts(load_dataset(outs["clean"] / "dataset.bpseq"))
+    starts = _window_starts(load_dataset(outs["nan"] / "dataset.bpseq"))
+    assert np.any(clean_starts < window)
+    assert starts.size and np.all(starts >= window)
+    assert np.array_equal(np.sort(starts), np.sort(clean_starts[clean_starts >= window]))
+
+
+@pytest.mark.parametrize("stack_rows", [None, 1])
+def test_preprocess_equals_per_window_denoise(tmp_path, synth_csv, q_table, stack_rows, monkeypatch):
+    from bpnet import pipeline
+    from bpnet.preprocess import denoise_window, select_q, spectrum_peak
+
+    if stack_rows is not None:  # split every Q's stack into one-window passes
+        monkeypatch.setattr(pipeline, "STACK_ROWS", stack_rows)
+    cfg = _write_config(tmp_path, synth_csv)
+    for stage in ("ingest", "preprocess"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    window = 2000
+    qs = set()
+    for channel in ("ecg", "ppg"):
+        raw = np.load(out / "raw" / "rec0" / f"{channel}.npy")
+        expected = []
+        for lo in range(0, raw.size - window + 1, window):
+            x = raw[lo : lo + window]
+            q = select_q(spectrum_peak(x, 125.0), q_table)
+            qs.add(q)
+            expected.append(denoise_window(x, q, q_table))
+        assert np.load(out / "pre" / "rec0" / f"{channel}.npy").tobytes() == np.concatenate(expected).tobytes()
+    assert len(qs) >= 3
 
 
 def test_per_patient_models_route_test_sequences(tmp_path):

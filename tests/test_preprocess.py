@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -241,13 +243,10 @@ def test_baseline_estimate_linearity(q_table, rng):
     params = TqwtParams(q=1.1, r=3.0, levels=10)
     sb_full = decompose(x, params)
 
-    sb_base = sb_full.copy()
-    for i in range(len(sb_base.highpass)):
-        sb_base.highpass[i] = np.zeros_like(sb_base.highpass[i])
+    sb_base = replace(sb_full, highpass=[np.zeros_like(h) for h in sb_full.highpass])
     baseline = reconstruct(sb_base, params)
 
-    sb_nolow = sb_full.copy()
-    sb_nolow.lowpass = np.zeros_like(sb_nolow.lowpass)
+    sb_nolow = replace(sb_full, lowpass=np.zeros_like(sb_full.lowpass))
     detrended = reconstruct(sb_nolow, params)
 
     assert np.allclose(x - baseline, detrended, atol=1e-9)
@@ -267,3 +266,43 @@ def test_preprocess_signal_is_denoise_at_selected_q(q_table):
     x = _sine(1.3, 2048) + _sine(0.05, 2048, amp=0.7)
     q = select_q(spectrum_peak(x, FS), q_table)
     assert np.array_equal(preprocess_signal(x, FS, q_table), denoise_window(x, q, q_table))
+
+
+def _row(sb: SubbandSet, i: int) -> SubbandSet:
+    return SubbandSet([h[i] for h in sb.highpass], sb.lowpass[i], sb.n_signal, sb.n_padded)
+
+
+@pytest.mark.parametrize("q", [FALLBACK_Q, 1.0, 1.23])
+def test_stacked_denoise_equals_rows_bit_for_bit(q, q_table, rng):
+    # Row 0 is all zero (sigma = 0), row 1 loses its five coarsest bands,
+    # rows 2-3 are noisy sines; row 4 stands alone as K = 1 below.
+    n = 2000
+    x = np.stack([_sine(f, n) + 0.2 * rng.standard_normal(n) for f in (1.1, 1.3, 1.7, 2.1, 2.9)])
+    x[0] = 0.0
+    params = TqwtParams(q=q, r=q_table.r, levels=q_table.level)
+    sb = decompose(x, params)
+    for band in sb.highpass[5:]:
+        band[1] = 0.0
+
+    stacked = rigrsure_soft_denoise(sb)
+    for i in range(x.shape[0]):
+        single = rigrsure_soft_denoise(_row(sb, i))
+        for got, want in zip(stacked.highpass, single.highpass):
+            assert got[i].tobytes() == want.tobytes()
+    assert not any(np.any(h[0]) for h in stacked.highpass)
+    assert not any(np.any(h[1]) for h in stacked.highpass[5:])
+
+    out = denoise_window(x, q, q_table)
+    for i, row in enumerate(x):
+        assert out[i].tobytes() == denoise_window(row, q, q_table).tobytes()
+    assert denoise_window(x[4:], q, q_table)[0].tobytes() == out[4].tobytes()
+
+
+def test_sure_threshold_rows_match_single_calls(rng):
+    coeffs = rng.standard_normal((3, 257)) * np.array([[0.5], [2.0], [7.0]])
+    sigma = np.array([[0.4], [1.1], [2.5]])
+    t = sure_threshold(coeffs, sigma)
+    assert t.shape == (3, 1)
+    for row, s, got in zip(coeffs, sigma[:, 0], t[:, 0]):
+        assert got == sure_threshold(row, float(s))[0]
+        assert got == pytest.approx(_sure_oracle(row.tolist(), float(s)), abs=1e-12)

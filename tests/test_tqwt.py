@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpnet.tqwt import (
     FrequencyTable,
@@ -8,9 +10,19 @@ from bpnet.tqwt import (
     TqwtParams,
     build_q_lookup,
     decompose,
+    q_grid,
     reconstruct,
     subband_frequencies,
 )
+
+# The preprocessing grid's Qs plus the fallback Q (preprocess.FALLBACK_Q).
+STACK_QS = [float(q) for q in q_grid(1.0, 1.4, 0.01)] + [1.08]
+
+
+def _assert_rows_bitwise(stacked: np.ndarray, rows: list[np.ndarray]) -> None:
+    assert stacked.shape == (len(rows), *rows[0].shape)
+    for got, want in zip(stacked, rows):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_impulse_perfect_reconstruction():
@@ -161,3 +173,40 @@ def test_invalid_params_rejected():
         TqwtParams(q=1.0, levels=0)
     with pytest.raises(TqwtError):
         build_q_lookup(125.0, q_min=1.4, q_max=1.0)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.08, STACK_QS[8], 1.23, 1.4])  # STACK_QS[8]: the grid's 1.08
+@pytest.mark.parametrize("k", [1, 4])
+def test_stack_equals_row_by_row_bit_for_bit(q, k, rng):
+    # Row 0 is all zero; the rest are random windows of the pipeline's length.
+    x = rng.standard_normal((k, 2000)) * 3.0
+    x[0] = 0.0
+    params = TqwtParams(q=q, r=3.0, levels=10)
+    stacked = decompose(x, params)
+    single = [decompose(row, params) for row in x]
+    for level in range(params.levels):
+        _assert_rows_bitwise(stacked.highpass[level], [sb.highpass[level] for sb in single])
+    _assert_rows_bitwise(stacked.lowpass, [sb.lowpass for sb in single])
+    _assert_rows_bitwise(reconstruct(stacked, params), [reconstruct(sb, params) for sb in single])
+
+
+def test_stack_rejects_bad_rank_and_lowpass_length(rng):
+    params = TqwtParams(q=1.1, r=3.0, levels=4)
+    with pytest.raises(TqwtError, match="stack"):
+        decompose(rng.standard_normal((2, 2, 512)), params)
+    sb = decompose(rng.standard_normal((2, 512)), params)
+    sb.lowpass = sb.lowpass[:, :-2]
+    with pytest.raises(TqwtError, match="lowpass length"):
+        reconstruct(sb, params)
+
+
+@given(data=st.data(), k=st.integers(1, 5), q=st.sampled_from(STACK_QS))
+@settings(max_examples=40, deadline=None)
+def test_stacked_reconstruction_property(data, k, q):
+    params = TqwtParams(q=q, r=3.0, levels=10)
+    n = data.draw(st.integers(params.min_signal_length(), 3000), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    x = np.random.default_rng(seed).standard_normal((k, n))
+    y = reconstruct(decompose(x, params), params)
+    assert np.max(np.abs(y - x)) <= 1e-8
+    _assert_rows_bitwise(y, [reconstruct(decompose(row, params), params) for row in x])
