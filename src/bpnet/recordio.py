@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -300,23 +301,48 @@ def read_csv_record(text: str, fs: float, record_name: str = "csv") -> PatientRe
     if "ppg" not in known:
         raise ChannelError("no PPG channel in CSV header")
 
-    rows = len(lines) - 1
-    data = {c: np.empty(rows) for c in known if c != "time"}
-    for r, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise RecordIOError(f"row {r + 1} has {len(cells)} cells, expected {len(header)}")
-        for c, cell in zip(header, cells):
-            if c not in data:
-                continue
-            try:
-                data[c][r] = float(cell)
-            except ValueError:
-                raise RecordIOError(f"non-numeric cell at row {r + 1}, column {c!r}: {cell!r}") from None
+    body = lines[1:]
+    widths = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body)) + 1
+    bad_width = np.flatnonzero(widths != len(header))
+    usecols = [i for i, c in enumerate(header) if c in _CSV_COLUMNS and c != "time"]
+    # Rows before the first bad width are parsed first, so a bad cell there
+    # is reported ahead of the width.
+    values = _read_cells(body[: bad_width[0]] if bad_width.size else body, header, usecols)
+    if bad_width.size:
+        r = bad_width[0]
+        raise RecordIOError(f"row {r + 1} has {widths[r]} cells, expected {len(header)}")
 
+    last = {header[i]: k for k, i in enumerate(usecols)}  # a name given twice keeps its last column
+    data = dict(zip(last, np.ascontiguousarray(values.T[list(last.values())])))
     specs = [SignalSpec("-", 16, 1.0, 0, "physical", c) for c in data]
-    desc = RecordDescriptor(record_name, len(data), fs, rows, specs)
-    return PatientRecord(desc, dict(data))
+    desc = RecordDescriptor(record_name, len(data), fs, len(body), specs)
+    return PatientRecord(desc, data)
+
+
+def _read_cells(lines: list[str], header: list[str], usecols: list[int]) -> np.ndarray:
+    """(rows, len(usecols)) float64 cells of equal-width CSV lines.
+
+    numpy's C parser reads the columns in one pass.  It names no column and
+    rejects some cells that float() accepts ("1_000"), so when it fails the
+    lines are read again cell by cell, which either succeeds or names the
+    first bad cell.
+    """
+    if lines:
+        try:
+            return np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    values = np.empty((len(lines), len(usecols)))
+    for r, line in enumerate(lines):
+        cells = line.split(",")
+        for k, i in enumerate(usecols):
+            try:
+                values[r, k] = float(cells[i])
+            except ValueError:
+                raise RecordIOError(
+                    f"non-numeric cell at row {r + 1}, column {header[i]!r}: {cells[i]!r}"
+                ) from None
+    return values
 
 
 def select_channels(record: PatientRecord) -> AlignedTriple:
@@ -332,8 +358,10 @@ def select_channels(record: PatientRecord) -> AlignedTriple:
         raise ChannelError("record has no PPG channel")
     abp = record.channels.get(ABP)
     if abp is not None:
-        in_range = (abp > 0) & (abp < 300)
-        if not np.all(in_range):
-            bad = int(np.sum(~in_range))
-            warnings.warn(f"{bad} ABP samples outside (0, 300) mmHg", stacklevel=2)
+        finite = int(np.count_nonzero(np.isfinite(abp)))
+        in_range = int(np.count_nonzero((abp > 0) & (abp < 300)))  # implies finite
+        if finite < abp.size:
+            warnings.warn(f"{abp.size - finite} non-finite ABP samples", stacklevel=2)
+        if in_range < finite:
+            warnings.warn(f"{finite - in_range} ABP samples outside (0, 300) mmHg", stacklevel=2)
     return AlignedTriple(ecg, record.channels[PPG], abp)

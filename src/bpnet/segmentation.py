@@ -109,18 +109,24 @@ class DatasetSplit:
     stats: ChannelStats
 
 
-def _plateau_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of local (maxima, minima), plateau-aware.
+def _extremal_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of equal samples in `x`: (start, end, is_maximum, is_minimum).
 
-    A run of equal samples is a maximum when both neighbours are lower and a
-    minimum when both are higher; its index is the run's centre.  Runs at
-    either end of `x` have one neighbour and never count.
+    A run is a maximum when both neighbours are lower and a minimum when both
+    are higher.  Runs at either end of `x` have one neighbour and are left
+    out, so starts and ends both increase.
     """
     edges = np.flatnonzero(np.diff(x)) + 1  # run starts, the first run aside
     starts, ends = edges[:-1], edges[1:] - 1
     level, left, right = x[starts], x[starts - 1], x[ends + 1]
+    return starts, ends, (left < level) & (right < level), (left > level) & (right > level)
+
+
+def _plateau_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of local (maxima, minima), plateau-aware: each run's centre."""
+    starts, ends, maximum, minimum = _extremal_runs(x)
     centre = (starts + ends) // 2
-    return centre[(left < level) & (right < level)], centre[(left > level) & (right > level)]
+    return centre[maximum], centre[minimum]
 
 
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -202,10 +208,67 @@ def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
     return peaks
 
 
+# Why a two-cycle span is dropped, by code (0 keeps it).  Spans are checked
+# as arrays; the one-span functions raise SampleRejected with the message.
+_REJECTIONS = (
+    "",
+    "peak order violation: {lo} >= {hi}",
+    "segment of {n} samples shorter than 16",
+    "segment of {n} samples longer than 10 s",
+    "segment outside signal bounds",
+    "empty ABP span",
+    "no detectable ABP beats in span",
+    "implausible pressures sbp={sbp:.1f} dbp={dbp:.1f}",
+)
+
+
+def _raise_rejected(code: int, **fields) -> None:
+    if code:
+        raise SampleRejected(_REJECTIONS[code].format(**fields))
+
+
+def _resample_spans(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: int = WAVE_POINTS) -> np.ndarray:
+    """Each span ``x[..., lo[s]:hi[s]]`` resampled to `points`: (..., S, points).
+
+    One gather does np.interp's arithmetic for every span: grid point p
+    between samples j and j+1 is ``(y[j+1] - y[j]) * (p - j) + y[j]``, and a
+    point that lands on a sample (the last one included) takes it as is, so
+    each row is bit-equal to np.interp, -0.0 kept.  A one-sample span is
+    exact only alone: np.linspace scales a whole batch differently when any
+    step is zero (two-cycle spans hold at least 16 samples).
+    """
+    grid = np.linspace(0.0, hi - lo - 1.0, points, axis=-1)
+    j = grid.astype(np.intp)
+    frac = grid - j
+    left = lo[:, None] + j
+    y0 = np.take(x, left, axis=-1)
+    y1 = np.take(x, np.minimum(left + 1, hi[:, None] - 1), axis=-1)
+    return np.where(frac == 0.0, y0, (y1 - y0) * frac + y0)
+
+
 def resample_to(slice_: np.ndarray, points: int = WAVE_POINTS) -> np.ndarray:
     """Linear-interpolation resample onto a uniform grid of `points` samples."""
-    n = slice_.size
-    return np.interp(np.linspace(0.0, n - 1.0, points), np.arange(n, dtype=float), slice_)
+    x = np.asarray(slice_, dtype=float)
+    return _resample_spans(x, np.array([0]), np.array([x.size]), points)[0]
+
+
+def _span_features(
+    ecg: np.ndarray, ppg: np.ndarray, lo: np.ndarray, hi: np.ndarray, fs: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-cycle feature rows (S, 513) over spans [lo, hi) and a rejection code per span.
+
+    A rejected span's row stays zero.
+    """
+    n = hi - lo
+    size = min(ecg.size, ppg.size)
+    code = np.select([hi <= lo, n < 16, n > 10.0 * fs, (lo < 0) | (hi > size)], [1, 2, 3, 4])
+    rows = np.zeros((lo.size, FEATURE_DIM))
+    ok = code == 0
+    if ok.any():
+        waves = _resample_spans(np.stack((ecg[:size], ppg[:size]), dtype=float), lo[ok], hi[ok])
+        rows[ok, : 2 * WAVE_POINTS] = waves.transpose(1, 0, 2).reshape(-1, 2 * WAVE_POINTS)
+        rows[ok, -1] = n[ok] / float(WAVE_POINTS)
+    return rows, code
 
 
 def build_feature_vector(
@@ -220,46 +283,67 @@ def build_feature_vector(
     Layout (513,): 256 resampled ECG samples, 256 resampled PPG samples, then
     the raw segment length / 256.
     """
-    if peak_i2 <= peak_i:
-        raise SampleRejected(f"peak order violation: {peak_i} >= {peak_i2}")
-    length = peak_i2 - peak_i
-    if length < 16:
-        raise SampleRejected(f"segment of {length} samples shorter than 16")
-    if length > 10.0 * fs:
-        raise SampleRejected(f"segment of {length} samples longer than 10 s")
-    if peak_i < 0 or peak_i2 > min(ecg.size, ppg.size):
-        raise SampleRejected("segment outside signal bounds")
-    ecg_slice = np.asarray(ecg[peak_i:peak_i2], dtype=float)
-    ppg_slice = np.asarray(ppg[peak_i:peak_i2], dtype=float)
-    return np.concatenate([resample_to(ecg_slice), resample_to(ppg_slice), [length / float(WAVE_POINTS)]])
+    rows, code = _span_features(ecg, ppg, np.array([peak_i]), np.array([peak_i2]), fs)
+    _raise_rejected(code[0], lo=peak_i, hi=peak_i2, n=peak_i2 - peak_i)
+    return rows[0]
 
 
-def _span_extrema(seg: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-beat maxima and minima of an ABP span, spacing-limited."""
+def _span_targets(
+    abp: np.ndarray, fs: float, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(SBP, DBP) rows (S, 2) over ABP spans [lo, hi) and a rejection code per span.
+
+    One run-length pass finds the extrema of the whole of `abp`.  The runs
+    that start after `lo` and end before `hi - 1` are exactly the extrema of
+    ``abp[lo:hi]`` taken on its own.  Of those, maxima above the span's
+    mid-range and minima below it are deduplicated within 0.3 s and
+    averaged.  Rows of rejected spans hold no meaningful pair, except that
+    an implausible span (code 7) keeps the pair that failed.
+    """
+    x = np.asarray(abp, dtype=float)
+    lo = np.minimum(lo, x.size)
+    hi = np.clip(hi, lo, x.size)
+    pairs = np.zeros((lo.size, 2))
+    code = np.where(hi > lo, 0, 5)
+    padded = np.append(x, 0.0)  # so that hi == x.size is an index reduceat takes
+    edges = np.stack((lo, hi), axis=-1).ravel()
+    top = np.maximum.reduceat(padded, edges)[::2]
+    bottom = np.minimum.reduceat(padded, edges)[::2]
+    code[(code == 0) & (top - bottom <= 1e-9)] = 6
+    mid = 0.5 * (bottom + top)
+
+    live = np.flatnonzero(code == 0)
     spacing = int(round(0.3 * fs))
-    lo, hi = float(np.min(seg)), float(np.max(seg))
-    if hi - lo <= 1e-9:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    mid = 0.5 * (lo + hi)
-    maxima, minima = _plateau_extrema(seg)
-    maxima = _dedupe_refractory(list(maxima[seg[maxima] > mid]), seg, spacing)
-    minima = _dedupe_refractory(list(minima[seg[minima] < mid]), -seg, spacing)
-    return maxima, minima
+    starts, ends, maximum, minimum = _extremal_runs(x)
+    for col, kind, strength, level in ((0, maximum, x, mid), (1, minimum, -x, -mid)):
+        first, last = starts[kind], ends[kind]
+        a = np.searchsorted(first, lo[live], "right")
+        b = np.maximum(np.searchsorted(last, hi[live] - 1, "left"), a)
+        # Runs a[k] ... b[k]-1 of this kind lie inside span live[k].
+        counts = b - a
+        owner = np.repeat(np.arange(live.size), counts)
+        run = np.arange(counts.sum()) + np.repeat(a - np.cumsum(counts) + counts, counts)
+        centre = (first[run] + last[run]) // 2
+        beat = strength[centre] > level[live][owner]
+        centre, owner = centre[beat], owner[beat]
+        bounds = np.searchsorted(owner, np.arange(live.size + 1))
+        for k, s in enumerate(live):
+            picked = _dedupe_refractory(centre[bounds[k] : bounds[k + 1]].tolist(), strength, spacing)
+            if picked.size:
+                pairs[s, col] = np.add.reduce(x[picked]) / picked.size  # np.mean's arithmetic
+            else:
+                code[s] = 6
+    sbp, dbp = pairs.T
+    code[(code == 0) & ~((20.0 < dbp) & (dbp < sbp) & (sbp < 300.0))] = 7
+    return pairs, code
 
 
 def extract_targets(abp: np.ndarray, fs: float, span: tuple[int, int]) -> tuple[float, float]:
     """(SBP, DBP): mean per-beat systolic maxima / diastolic minima over `span`."""
-    start, end = span
-    seg = np.asarray(abp[start:end], dtype=float)
-    if seg.size == 0:
-        raise SampleRejected("empty ABP span")
-    maxima, minima = _span_extrema(seg, fs)
-    if maxima.size == 0 or minima.size == 0:
-        raise SampleRejected("no detectable ABP beats in span")
-    sbp = float(np.mean(seg[maxima]))
-    dbp = float(np.mean(seg[minima]))
-    if not (20.0 < dbp < sbp < 300.0):
-        raise SampleRejected(f"implausible pressures sbp={sbp:.1f} dbp={dbp:.1f}")
+    start, end, _ = slice(*span).indices(len(abp))
+    pairs, code = _span_targets(abp, fs, np.array([start]), np.array([max(start, end)]))
+    sbp, dbp = (float(v) for v in pairs[0])
+    _raise_rejected(code[0], sbp=sbp, dbp=dbp)
     return sbp, dbp
 
 
@@ -282,17 +366,14 @@ def build_sequences(
     peaks = detect_ppg_peaks(ppg, fs)
     # With fewer than M+2 peaks the sliding count below is simply empty.
 
-    n = peaks.size - 2
-    vectors = np.zeros((n, FEATURE_DIM))
-    targets = np.zeros((n, 2))
-    rejected = np.zeros(n, dtype=int)
-    for i in range(n):
-        lo, hi = int(peaks[i]), int(peaks[i + 2])
-        try:
-            vectors[i] = build_feature_vector(ecg, ppg, lo, hi, fs)
-            targets[i] = extract_targets(abp, fs, (lo, hi))
-        except SampleRejected:
-            rejected[i] = 1
+    lo, hi = peaks[:-2], peaks[2:]
+    vectors, feature_code = _span_features(ecg, ppg, lo, hi, fs)
+    targets, target_code = _span_targets(abp, fs, lo, hi)
+    # A rejected span keeps its features (zero if they were rejected) and
+    # stores zero targets.
+    rejected = (feature_code != 0) | (target_code != 0)
+    targets[rejected] = 0.0
+    n = lo.size
 
     # Start s is valid when rows s .. s+m-1 hold no rejected vector.
     bad = np.concatenate([[0], np.cumsum(rejected)])

@@ -185,7 +185,8 @@ def _udft(x: np.ndarray) -> np.ndarray:
 
 
 def _iudft(X: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(X) * math.sqrt(X.shape[-1]))
+    # A contiguous copy: the real view would keep the complex buffer alive.
+    return np.real(np.fft.ifft(X) * math.sqrt(X.shape[-1])).copy()
 
 
 def decompose(signal: np.ndarray, params: TqwtParams) -> SubbandSet:

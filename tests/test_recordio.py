@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,86 @@ def test_csv_non_numeric_cell_reports_position():
         read_csv_record(text, fs=125.0)
 
 
+def test_csv_skips_blank_whitespace_and_crlf_lines():
+    text = "ecg_ii,ppg,abp\r\n\r\n0.1,0.5,100\r\n   \r\n\t\n0.2,0.6,101\r\n\n"
+    record = read_csv_record(text, fs=125.0)
+    assert record.descriptor.num_samples == 2
+    assert record.channels["ecg_ii"].tolist() == [0.1, 0.2]
+    assert record.channels["abp"].tolist() == [100.0, 101.0]
+
+
+@pytest.mark.parametrize(
+    "header, row, cells",
+    [
+        ("time,ecg_ii,ppg", "0.008,0.2,0.6,7", 4),  # extra cell after the time row
+        ("time,ecg_ii,ppg", "0.2,0.6", 2),  # the time cell is the missing one
+        ("ecg_ii,ppg,banana", "0.2,0.6", 2),  # only the unknown column is short
+        ("ecg_ii,ppg,banana", "0.2,0.6,1,2", 4),
+    ],
+)
+def test_csv_row_width_checked_on_every_column(header, row, cells):
+    # Blank lines do not count: the bad row is the second data row.
+    first = ",".join("0.1" for _ in header.split(","))
+    text = f"{header}\n{first}\n\n{row}\n{first}\n"
+    with pytest.raises(RecordIOError, match=rf"^row 2 has {cells} cells, expected 3$"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            read_csv_record(text, fs=125.0)
+
+
+def test_csv_non_numeric_cell_names_row_column_and_cell():
+    text = "time,ecg_ii,ppg\n0,0.1,0.5\n\n0.008,0.2,oops\n"
+    with pytest.raises(RecordIOError, match=r"^non-numeric cell at row 2, column 'ppg': 'oops'$"):
+        read_csv_record(text, fs=125.0)
+
+
+def test_csv_first_fault_in_row_order_is_reported():
+    # A bad cell before a bad width, and a bad width before a bad cell.
+    with pytest.raises(RecordIOError, match="^non-numeric cell at row 1, column 'ecg_ii'"):
+        read_csv_record("ecg_ii,ppg\nx,0.5\n0.2,0.6,9\n", fs=125.0)
+    with pytest.raises(RecordIOError, match="^row 1 has 3 cells"):
+        read_csv_record("ecg_ii,ppg\n0.1,0.5,9\n0.2,x\n", fs=125.0)
+
+
+def test_csv_time_and_unknown_columns_are_never_parsed():
+    text = "time,ecg_ii,ppg,banana\n00:00.000,0.1,0.5,yellow\nnot-a-time,0.2,0.6,\n"
+    with pytest.warns(UserWarning, match="banana"):
+        record = read_csv_record(text, fs=125.0)
+    assert record.channels["ppg"].tolist() == [0.5, 0.6]
+    assert set(record.channels) == {"ecg_ii", "ppg"} and not record.unmapped
+
+
+def test_csv_nan_and_float_syntax_cells():
+    text = "ecg_ii,ppg,abp\nnan,0.5,NaN\n 1_000 ,-inf,1e2\n"
+    record = read_csv_record(text, fs=125.0)
+    assert np.isnan(record.channels["ecg_ii"][0]) and np.isnan(record.channels["abp"][0])
+    # Every cell float() accepts is read, underscores and padding included.
+    assert record.channels["ecg_ii"][1] == 1000.0
+    assert record.channels["ppg"].tolist() == [0.5, -np.inf]
+    assert record.channels["abp"][1] == 100.0
+
+
+def test_csv_header_only_gives_empty_channels():
+    record = read_csv_record("time,ecg_ii,ppg\n", fs=125.0)
+    assert record.descriptor.num_samples == 0
+    assert record.channels["ecg_ii"].size == record.channels["ppg"].size == 0
+
+
+@given(
+    values=st.lists(st.floats(width=64), min_size=3, max_size=60),
+    fmt=st.sampled_from(["repr", ".6f"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_csv_cells_read_bit_equal_to_float(values, fmt):
+    cells = [repr(v) if fmt == "repr" else format(v, ".6f") for v in values]
+    rows = [cells[i : i + 3] for i in range(0, len(cells) - 2, 3)]
+    text = "ecg_ii,ppg,abp\n" + "".join(",".join(r) + "\n" for r in rows)
+    record = read_csv_record(text, fs=125.0)
+    for k, name in enumerate(("ecg_ii", "ppg", "abp")):
+        expected = np.array([float(r[k]) for r in rows])
+        assert record.channels[name].tobytes() == expected.tobytes()
+
+
 def _record_with(channels):
     n = len(next(iter(channels.values())))
     specs = [SignalSpec("-", 16, 1.0, 0, "u", k) for k in channels]
@@ -194,6 +276,17 @@ def test_select_channels_requires_ecg_and_ppg():
 def test_select_channels_abp_optional():
     triple = select_channels(_record_with({"ecg_ii": [1.0], "ppg": [2.0]}))
     assert triple.abp is None
+
+
+def test_select_channels_reports_abp_gaps_apart_from_range():
+    record = read_csv_record("ecg_ii,ppg,abp\n0.1,0.5,nan\n0.2,0.6,400\n0.3,0.7,90\n", fs=125.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        select_channels(record)
+    assert sorted(str(w.message) for w in caught) == [
+        "1 ABP samples outside (0, 300) mmHg",
+        "1 non-finite ABP samples",
+    ]
 
 
 def test_unequal_channel_lengths_rejected():

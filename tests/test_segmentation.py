@@ -13,6 +13,7 @@ from bpnet.segmentation import (
     SegmentationError,
     Sequences,
     _plateau_extrema,
+    _resample_spans,
     build_feature_vector,
     build_sequences,
     detect_ppg_peaks,
@@ -235,6 +236,99 @@ class TestRejectedVectors:
         assert seqs.first.tolist() == starts
         assert seqs.start.tolist() == [1000 + int(peaks[s]) for s in starts]
         assert set(seqs.patient.tolist()) == {"p"}
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_resampling_equals_np_interp_bytes(data):
+    lengths = data.draw(st.lists(st.integers(16, 1250), min_size=1, max_size=5), label="lengths")
+    lo = np.array([data.draw(st.integers(0, 300), label="lo") for _ in lengths])
+    hi = lo + lengths
+    palette = data.draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=6),
+        label="palette",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = int(hi.max()) + 7
+    x = rng.standard_normal((2, size)) * 10.0 ** rng.integers(-3, 4, (2, size))
+    pick = rng.random((2, size))
+    x[pick < 0.2] = rng.choice(np.array(palette + [-0.0, 0.0]), (2, size))[pick < 0.2]
+    x[pick > 0.9] = -0.0
+    x[:, size // 3 : size // 2] = x[:, size // 3 : size // 3 + 1]  # a run of repeated samples
+    rows = _resample_spans(x, lo, hi)
+    assert rows.shape == (2, len(lengths), 256)
+    for c in range(2):
+        assert _resample_spans(x[c], lo, hi).tobytes() == rows[c].tobytes()
+        for s, (a, b) in enumerate(zip(lo, hi)):
+            ref = np.interp(np.linspace(0.0, b - a - 1.0, 256), np.arange(b - a, dtype=float), x[c, a:b])
+            assert rows[c, s].tobytes() == ref.tobytes(), (c, s)
+
+
+def _reference_targets(abp, lo, hi):
+    """Per-span SBP/DBP as computed span by span on ``abp[lo:hi]`` alone, or None."""
+    seg = abp[lo:hi]
+    bottom, top = float(np.min(seg)), float(np.max(seg))
+    if top - bottom <= 1e-9:
+        return None
+    mid = 0.5 * (bottom + top)
+    spacing = int(round(0.3 * FS))
+    means = []
+    for found, strength in zip(_plateau_extrema(seg), (seg, -seg)):
+        kept = []
+        for idx in found[strength[found] > (mid if strength is seg else -mid)]:
+            if kept and idx - kept[-1] < spacing:
+                if strength[idx] > strength[kept[-1]]:
+                    kept[-1] = idx
+            else:
+                kept.append(idx)
+        if not kept:
+            return None
+        means.append(float(np.mean(seg[kept])))
+    sbp, dbp = means
+    return (sbp, dbp) if 20.0 < dbp < sbp < 300.0 else None
+
+
+def test_build_sequences_with_rejected_targets_matches_per_vector_loop():
+    ecg, ppg, abp = _aligned_triple(24)
+    peaks = detect_ppg_peaks(ppg, FS)
+    abp[peaks[4] : peaks[7]] = 93.0  # flat: spans 4 and 5 see no beat
+    abp[peaks[11] - 3 : peaks[11] + 9] = np.round(abp[peaks[11] - 3 : peaks[11] + 9])  # plateaus
+    abp[peaks[14] : peaks[15]] += 250.0  # implausible systolic pressure
+    m = 3
+    seqs = build_sequences(ecg, ppg, abp, FS, m, patient_id="p")
+
+    n = peaks.size - 2
+    vectors, targets, ok = np.zeros((n, FEATURE_DIM)), np.zeros((n, 2)), np.zeros(n, dtype=bool)
+    for i in range(n):
+        lo, hi = peaks[i], peaks[i + 2]
+        grid = np.linspace(0.0, hi - lo - 1.0, 256)
+        waves = [np.interp(grid, np.arange(hi - lo, dtype=float), x[lo:hi]) for x in (ecg, ppg)]
+        vectors[i] = np.concatenate(waves + [[(hi - lo) / 256.0]])
+        pair = _reference_targets(abp, lo, hi)
+        if pair is not None:
+            targets[i], ok[i] = pair, True
+    first = [s for s in range(n - m + 1) if ok[s : s + m].all()]
+    assert 4 in np.flatnonzero(~ok) and 14 in np.flatnonzero(~ok) and first
+    assert seqs.vectors.tobytes() == vectors.tobytes()
+    assert seqs.targets.tobytes() == targets.tobytes()
+    assert seqs.first.tolist() == first
+
+
+def test_one_span_rejection_messages():
+    x = np.zeros(400)
+    for lo, hi, message in [
+        (50, 50, "peak order violation: 50 >= 50"),
+        (-5, 100, "segment outside signal bounds"),
+        (350, 450, "segment outside signal bounds"),
+    ]:
+        with pytest.raises(SampleRejected, match=f"^{message}$"):
+            build_feature_vector(x, x, lo, hi, FS)
+    with pytest.raises(SampleRejected, match="^empty ABP span$"):
+        extract_targets(x, FS, (120, 100))
+    n = int(2 / 1.2 * FS) + 1
+    high = 400 + 20 * np.sin(2 * np.pi * 1.2 * np.arange(n) / FS)
+    with pytest.raises(SampleRejected, match=r"^implausible pressures sbp=420\.0 dbp=380\.0$"):
+        extract_targets(high, FS, (0, n))
 
 
 def _toy_samples(count, patient="p0", m=4, start=0, rng=None):

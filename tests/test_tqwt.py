@@ -190,6 +190,14 @@ def test_stack_equals_row_by_row_bit_for_bit(q, k, rng):
     _assert_rows_bitwise(reconstruct(stacked, params), [reconstruct(sb, params) for sb in single])
 
 
+@pytest.mark.parametrize("shape", [(2000,), (8, 2000)])
+def test_subbands_own_contiguous_buffers(shape, rng):
+    # Each band holds its own real values, not a view into a complex buffer.
+    sb = decompose(rng.standard_normal(shape), TqwtParams(q=1.08, r=3.0, levels=10))
+    for band in [*sb.highpass, sb.lowpass]:
+        assert band.flags.c_contiguous and band.flags.owndata and band.dtype == np.float64
+
+
 def test_stack_rejects_bad_rank_and_lowpass_length(rng):
     params = TqwtParams(q=1.1, r=3.0, levels=4)
     with pytest.raises(TqwtError, match="stack"):
