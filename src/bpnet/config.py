@@ -13,6 +13,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+from bpnet.tqwt import TqwtError, TqwtParams
+
 M_WINDOW_PAIRS = {10: 16.0, 32: 40.0}
 M_CAP_PAIRS = {10: 3.0, 32: 5.0}
 
@@ -191,3 +193,18 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("need 0 < tqwt.q_min < tqwt.q_max")
     if config.q_step <= 0:
         raise ConfigError("tqwt.q_step must be positive")
+    if config.seed < 0:
+        raise ConfigError(f"train.seed must be >= 0, got {config.seed}")
+    if config.learning_rate <= 0:
+        raise ConfigError(f"train.lr must be positive, got {config.learning_rate}")
+    if config.patience < 1:
+        raise ConfigError(f"train.patience must be >= 1, got {config.patience}")
+    try:  # the lowest Q has the narrowest bands, so it needs the longest window
+        need = TqwtParams(config.q_min, config.tqwt_r, config.tqwt_levels).min_signal_length()
+    except TqwtError as exc:
+        raise ConfigError(f"tqwt.q_min, tqwt.r or tqwt.levels: {exc}") from None
+    if need > config.window_samples():
+        raise ConfigError(
+            f"tqwt.levels = {config.tqwt_levels} needs windows of >= {need} samples "
+            f"at tqwt.q_min, not {config.window_samples()}"
+        )

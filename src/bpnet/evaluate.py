@@ -238,9 +238,9 @@ def assemble_report(
     )
 
 
-def _svg_polyline(xs: np.ndarray, ys: np.ndarray, color: str, width: float = 1.2) -> str:
+def _svg_polyline(xs: np.ndarray, ys: np.ndarray, color: str) -> str:
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{points}"/>'
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>'
 
 
 def _chart(

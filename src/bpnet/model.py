@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from bpnet.atomic import atomic_open
 from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit
 
 DENSE_UNITS = 128
@@ -375,36 +376,33 @@ def adam_step(
     return params, state
 
 
-def _outputs(params: ModelParams, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """forward_batch outputs, `chunk` sequences at a time to bound activation memory."""
-    return np.concatenate([forward_batch(params, x[lo : lo + chunk])[0] for lo in range(0, x.shape[0], chunk)])
+INFER_CHUNK = 256  # sequences per inference forward, to bound activation memory
+
+
+def _outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """forward_batch outputs, INFER_CHUNK sequences at a time."""
+    chunks = range(0, x.shape[0], INFER_CHUNK)
+    return np.concatenate([forward_batch(params, x[lo : lo + INFER_CHUNK])[0] for lo in chunks])
 
 
 def _mean_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((_outputs(params, x) - y) ** 2)) / y.size
 
 
-def train(
-    dataset: DatasetSplit,
-    config: TrainConfig,
-    params: Optional[ModelParams] = None,
-) -> tuple[ModelParams, TrainHistory]:
+def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, TrainHistory]:
     """Mini-batch training with gradient clipping, Adam, and early stopping.
 
-    Batches reshuffle each epoch under the seeded generator and are gathered
-    from the shared row table one at a time; the parameters with the best
-    validation MSE are returned together with the per-epoch loss history.  A
-    `params` argument is the starting point and is left unchanged.
+    Weights start from ``init_params(config.seed)``.  Batches reshuffle each
+    epoch under the seeded generator and are gathered from the shared row
+    table one at a time; the parameters with the best validation MSE are
+    returned together with the per-epoch loss history.
     """
     if not dataset.train or not dataset.validation:
         raise ModelError("train and validation partitions must be non-empty")
     x_val, y_val = dataset.validation.input_array(), dataset.validation.target_array()
 
     rng = np.random.default_rng(config.seed)
-    if params is None:
-        params = init_params(config.seed, input_dim=dataset.train.vectors.shape[1])
-    else:
-        params = params.copy()
+    params = init_params(config.seed, input_dim=dataset.train.vectors.shape[1])
     state = AdamState.for_params(params)
     history = TrainHistory()
     best_val = np.inf
@@ -478,9 +476,9 @@ class TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write the BPNET1 container: magic, dims, channel stats, f64 payload."""
+    """Write the BPNET1 container atomically: magic, dims, channel stats, f64 payload."""
     p, s = model.params, model.stats
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MODEL_HEADER.pack(MODEL_MAGIC, model.m, *p.dims, s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std))
         fh.write(p.flat.astype("<f8").tobytes())
 

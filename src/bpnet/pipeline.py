@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bpnet.atomic import atomic_open
 from bpnet.config import PipelineConfig
 from bpnet.evaluate import assemble_report, tracking_export
 from bpnet.model import (
@@ -57,14 +58,9 @@ class StageDependencyError(DataError):
         self.required_stage = required_stage
 
 
-def _atomic_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-
-
 def _atomic_text(path: Path, payload: str) -> None:
-    _atomic_bytes(path, payload.encode())
+    with atomic_open(path) as fh:
+        fh.write(payload.encode())
 
 
 @contextmanager

@@ -111,7 +111,7 @@ class AlignedTriple(NamedTuple):
     abp: Optional[np.ndarray]
 
 
-def decode_format_212(data: bytes, count: int, stream_offset: int = 0) -> np.ndarray:
+def decode_format_212(data: bytes, count: int) -> np.ndarray:
     """Unpack `count` signed 12-bit samples from 3-byte pairs.
 
     Layout per pair: byte 0 = low 8 bits of s1; low nibble of byte 1 = high
@@ -122,8 +122,7 @@ def decode_format_212(data: bytes, count: int, stream_offset: int = 0) -> np.nda
     needed = pairs * 3 + (2 if odd else 0)
     if len(data) < needed:
         raise TruncatedSignalError(
-            f"signal stream holds {len(data)} bytes, need {needed} for {count} samples",
-            stream_offset + len(data),
+            f"signal stream holds {len(data)} bytes, need {needed} for {count} samples", len(data)
         )
     buf = np.frombuffer(data[:needed], dtype=np.uint8)
     out = np.empty(count, dtype=np.int64)
@@ -155,12 +154,11 @@ def encode_format_212(samples: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def decode_format_16(data: bytes, count: int, stream_offset: int = 0) -> np.ndarray:
+def decode_format_16(data: bytes, count: int) -> np.ndarray:
     needed = count * 2
     if len(data) < needed:
         raise TruncatedSignalError(
-            f"signal stream holds {len(data)} bytes, need {needed} for {count} samples",
-            stream_offset + len(data),
+            f"signal stream holds {len(data)} bytes, need {needed} for {count} samples", len(data)
         )
     return np.frombuffer(data[:needed], dtype="<i2").astype(np.int64)
 

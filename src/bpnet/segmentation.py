@@ -17,20 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bpnet.atomic import atomic_open
+
 WAVE_POINTS = 256
 FEATURE_DIM = 2 * WAVE_POINTS + 1
 
 PPG_REFRACTORY_S = 0.30
+MIN_PATIENT_SEQUENCES = 10  # fewer, and split drops the patient
 
 DATASET_MAGIC = b"BPSEQ2"
 
 
 class SegmentationError(ValueError):
     """Unusable window: too few peaks or degenerate signal content."""
-
-
-class SampleRejected(ValueError):
-    """A single segment failed validation and should be dropped."""
 
 
 class DatasetError(ValueError):
@@ -208,27 +207,8 @@ def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
     return peaks
 
 
-# Why a two-cycle span is dropped, by code (0 keeps it).  Spans are checked
-# as arrays; the one-span functions raise SampleRejected with the message.
-_REJECTIONS = (
-    "",
-    "peak order violation: {lo} >= {hi}",
-    "segment of {n} samples shorter than 16",
-    "segment of {n} samples longer than 10 s",
-    "segment outside signal bounds",
-    "empty ABP span",
-    "no detectable ABP beats in span",
-    "implausible pressures sbp={sbp:.1f} dbp={dbp:.1f}",
-)
-
-
-def _raise_rejected(code: int, **fields) -> None:
-    if code:
-        raise SampleRejected(_REJECTIONS[code].format(**fields))
-
-
-def _resample_spans(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: int = WAVE_POINTS) -> np.ndarray:
-    """Each span ``x[..., lo[s]:hi[s]]`` resampled to `points`: (..., S, points).
+def resample_spans(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each span ``x[..., lo[s]:hi[s]]`` resampled to 256 points: (..., S, 256).
 
     One gather does np.interp's arithmetic for every span: grid point p
     between samples j and j+1 is ``(y[j+1] - y[j]) * (p - j) + y[j]``, and a
@@ -237,7 +217,7 @@ def _resample_spans(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: int =
     exact only alone: np.linspace scales a whole batch differently when any
     step is zero (two-cycle spans hold at least 16 samples).
     """
-    grid = np.linspace(0.0, hi - lo - 1.0, points, axis=-1)
+    grid = np.linspace(0.0, hi - lo - 1.0, WAVE_POINTS, axis=-1)
     j = grid.astype(np.intp)
     frac = grid - j
     left = lo[:, None] + j
@@ -246,13 +226,13 @@ def _resample_spans(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: int =
     return np.where(frac == 0.0, y0, (y1 - y0) * frac + y0)
 
 
-def resample_to(slice_: np.ndarray, points: int = WAVE_POINTS) -> np.ndarray:
-    """Linear-interpolation resample onto a uniform grid of `points` samples."""
-    x = np.asarray(slice_, dtype=float)
-    return _resample_spans(x, np.array([0]), np.array([x.size]), points)[0]
+# Why a two-cycle span is dropped, by code (0 keeps it): 1 peak order
+# violation (hi <= lo), 2 segment shorter than 16 samples, 3 segment longer
+# than 10 s, 4 segment outside signal bounds, 5 empty ABP span, 6 no
+# detectable ABP beats in span, 7 implausible pressures.
 
 
-def _span_features(
+def span_features(
     ecg: np.ndarray, ppg: np.ndarray, lo: np.ndarray, hi: np.ndarray, fs: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-cycle feature rows (S, 513) over spans [lo, hi) and a rejection code per span.
@@ -265,30 +245,13 @@ def _span_features(
     rows = np.zeros((lo.size, FEATURE_DIM))
     ok = code == 0
     if ok.any():
-        waves = _resample_spans(np.stack((ecg[:size], ppg[:size]), dtype=float), lo[ok], hi[ok])
+        waves = resample_spans(np.stack((ecg[:size], ppg[:size]), dtype=float), lo[ok], hi[ok])
         rows[ok, : 2 * WAVE_POINTS] = waves.transpose(1, 0, 2).reshape(-1, 2 * WAVE_POINTS)
         rows[ok, -1] = n[ok] / float(WAVE_POINTS)
     return rows, code
 
 
-def build_feature_vector(
-    ecg: np.ndarray,
-    ppg: np.ndarray,
-    peak_i: int,
-    peak_i2: int,
-    fs: float = 125.0,
-) -> np.ndarray:
-    """Two-cycle feature vector over [peak_i, peak_i2); no zero padding.
-
-    Layout (513,): 256 resampled ECG samples, 256 resampled PPG samples, then
-    the raw segment length / 256.
-    """
-    rows, code = _span_features(ecg, ppg, np.array([peak_i]), np.array([peak_i2]), fs)
-    _raise_rejected(code[0], lo=peak_i, hi=peak_i2, n=peak_i2 - peak_i)
-    return rows[0]
-
-
-def _span_targets(
+def span_targets(
     abp: np.ndarray, fs: float, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(SBP, DBP) rows (S, 2) over ABP spans [lo, hi) and a rejection code per span.
@@ -338,15 +301,6 @@ def _span_targets(
     return pairs, code
 
 
-def extract_targets(abp: np.ndarray, fs: float, span: tuple[int, int]) -> tuple[float, float]:
-    """(SBP, DBP): mean per-beat systolic maxima / diastolic minima over `span`."""
-    start, end, _ = slice(*span).indices(len(abp))
-    pairs, code = _span_targets(abp, fs, np.array([start]), np.array([max(start, end)]))
-    sbp, dbp = (float(v) for v in pairs[0])
-    _raise_rejected(code[0], sbp=sbp, dbp=dbp)
-    return sbp, dbp
-
-
 def build_sequences(
     ecg: np.ndarray,
     ppg: np.ndarray,
@@ -367,8 +321,8 @@ def build_sequences(
     # With fewer than M+2 peaks the sliding count below is simply empty.
 
     lo, hi = peaks[:-2], peaks[2:]
-    vectors, feature_code = _span_features(ecg, ppg, lo, hi, fs)
-    targets, target_code = _span_targets(abp, fs, lo, hi)
+    vectors, feature_code = span_features(ecg, ppg, lo, hi, fs)
+    targets, target_code = span_targets(abp, fs, lo, hi)
     # A rejected span keeps its features (zero if they were rejected) and
     # stores zero targets.
     rejected = (feature_code != 0) | (target_code != 0)
@@ -386,7 +340,6 @@ def build_sequences(
 def split_and_standardize(
     samples: Sequences,
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2),
-    min_sequences: int = 10,
 ) -> DatasetSplit:
     """Chronological per-patient split plus train-only channel standardization.
 
@@ -404,7 +357,7 @@ def split_and_standardize(
     validation: list[np.ndarray] = []
     test: list[np.ndarray] = []
     for patient, lo, n in zip(patients, begins, counts):
-        if n < min_sequences:
+        if n < MIN_PATIENT_SEQUENCES:
             warnings.warn(f"patient {str(patient)!r} has only {n} sequences; excluded", stacklevel=2)
             continue
         ordered = order[lo : lo + n]
@@ -450,7 +403,7 @@ MANIFEST_COLUMNS = ["patient", "start_index", "split"]
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
-    """Write the BPSEQ2 container plus a sidecar CSV manifest.
+    """Write the BPSEQ2 container plus a sidecar CSV manifest, atomically.
 
     Layout: magic "BPSEQ2"; uint32 sequence count N, row count V, M and
     feature dim; four float64 channel statistics; then the shared row table,
@@ -467,7 +420,8 @@ def save_dataset(split: DatasetSplit, path) -> None:
         raise ValueError("empty dataset")
 
     s = split.stats
-    with open(path, "wb") as fh:
+    # Both files are renamed into place only after both are fully written.
+    with atomic_open(path) as fh, atomic_open(str(path) + ".manifest.csv", "w", newline="") as manifest:
         fh.write(DATASET_HEADER.pack(
             DATASET_MAGIC, first.size, len(table.vectors), table.m, FEATURE_DIM,
             s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std,
@@ -475,10 +429,7 @@ def save_dataset(split: DatasetSplit, path) -> None:
         table.vectors.astype("<f4").tofile(fh)
         table.targets.astype("<f4").tofile(fh)
         first.astype("<u4").tofile(fh)
-
-    manifest = str(path) + ".manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(manifest)
         writer.writerow(MANIFEST_COLUMNS)
         for name, part in zip(SPLIT_NAMES, parts):
             writer.writerows(

@@ -59,11 +59,19 @@ class TqwtParams:
         return 1.0 - self.beta / self.r
 
     def min_signal_length(self) -> int:
-        """Smallest (pre-padding) length whose final lowpass keeps >= 8 samples."""
-        n = 8
-        while 2 * round(self.alpha**self.levels * _next_pow2(n) / 2) < 8:
-            n += 1
-        return n
+        """Smallest (pre-padding) length whose final lowpass keeps >= 8 samples.
+
+        The lowpass length depends only on the padded length, a power of two,
+        so the search doubles; the answer is the shortest length that pads to
+        the first padded length that works.
+        """
+        scale = self.alpha**self.levels
+        if scale == 0.0:
+            raise TqwtError(f"{self.levels} levels leave no lowpass band at Q={self.q}")
+        k = 3
+        while 2 * round(math.ldexp(scale, k) / 2) < 8:
+            k += 1
+        return 8 if k == 3 else 2 ** (k - 1) + 1
 
 
 @dataclass
@@ -274,9 +282,7 @@ def level_response(freq_hz: np.ndarray, fs: float, params: TqwtParams, level: in
     return mag
 
 
-def subband_frequencies(
-    params: TqwtParams, fs: float, level: int, grid_step: float | None = None
-) -> tuple[float, float]:
+def subband_frequencies(params: TqwtParams, fs: float, level: int) -> tuple[float, float]:
     """(center, lower 3 dB cutoff) of the `level`-th subband, in Hz.
 
     The center follows the closed form alpha^level * (2 - beta) / (4 alpha) * fs.
@@ -288,10 +294,9 @@ def subband_frequencies(
         raise TqwtError(f"level {level} out of range 1..{params.levels}")
     center = params.alpha**level * (2.0 - params.beta) / (4.0 * params.alpha) * fs
 
-    step = fs / 2**18 if grid_step is None else grid_step
     # The subband lives inside (0, alpha^(level-1) * fs / 2); keep a margin.
     f_top = params.alpha ** (level - 1) * fs / 2.0 * 1.05
-    grid = np.arange(0.0, min(f_top, fs / 2.0), step)
+    grid = np.arange(0.0, min(f_top, fs / 2.0), fs / 2**18)
     mag = level_response(grid, fs, params, level)
     k = int(np.argmax(mag))
     target = mag[k] / math.sqrt(2.0)
@@ -343,7 +348,10 @@ class FrequencyTable:
 
 def q_grid(q_min: float, q_max: float, step: float) -> np.ndarray:
     """The inclusive, ascending Q grid from q_min to q_max in `step` increments."""
-    return np.linspace(q_min, q_max, int(round((q_max - q_min) / step)) + 1)
+    try:
+        return np.linspace(q_min, q_max, int(round((q_max - q_min) / step)) + 1)
+    except (ValueError, MemoryError) as exc:
+        raise TqwtError(f"cannot build a Q grid from {q_min} to {q_max} in steps of {step}: {exc}") from None
 
 
 def build_q_lookup(

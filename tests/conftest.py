@@ -14,3 +14,16 @@ def q_table():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
+
+
+class _Unwritable(np.ndarray):
+    """An array whose conversion for writing fails, as a full disk would."""
+
+    def astype(self, *args, **kwargs):
+        raise OSError("no space left on device")
+
+
+@pytest.fixture()
+def unwritable():
+    """View an array as one that fails when a writer converts it to bytes."""
+    return lambda array: array.view(_Unwritable)

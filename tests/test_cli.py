@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bpnet.cli import main
 
@@ -436,3 +438,50 @@ def test_preprocess_rebuilds_unreadable_q_table(tmp_path, synth_csv, cached):
     table.write_text(cached)
     assert main(["preprocess", "--config", str(cfg)]) == 0
     assert len(table.read_text().splitlines()) == 1 + 41
+
+
+@pytest.mark.parametrize(
+    "setting, code, named",
+    [
+        ("train.seed = -1", 1, "train.seed"),
+        ("train.lr = 0", 1, "train.lr"),
+        ("train.patience = 0", 1, "train.patience"),
+        ("tqwt.levels = 40", 1, "tqwt.levels"),
+        ("tqwt.r = 1", 1, "tqwt.r"),
+        ("tqwt.q_step = 1e-300", 2, "Q grid from 1.0 to 1.4 in steps of 1e-300"),
+    ],
+)
+def test_crashing_config_value_gets_typed_error(tmp_path, synth_csv, capsys, setting, code, named):
+    cfg = _write_config(tmp_path, synth_csv, extra=setting + "\n")
+    # A config error stops ingest; a Q grid numpy cannot build stops preprocess.
+    # main() returning at all means no exception escaped, so no traceback.
+    codes = [main([stage, "--config", str(cfg)]) for stage in ("ingest", "preprocess")]
+    assert codes == ([1, 1] if code == 1 else [0, code])
+    assert named in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory, synth_csv):
+    root = tmp_path_factory.mktemp("flips")
+    cfg = _write_config(root, synth_csv)
+    for stage in ("ingest", "preprocess", "segment", "train"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    return cfg, root / "out"
+
+
+@pytest.mark.parametrize("artifact, stage", [("dataset.bpseq", "train"), ("model.bpnet", "eval")])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_bit_flip_exits_0_or_2(trained_run, capsys, artifact, stage, data):
+    cfg, out = trained_run
+    pristine = {path: path.read_bytes() for path in (out / "dataset.bpseq", out / "model.bpnet")}
+    flipped = bytearray(pristine[out / artifact])
+    bit = data.draw(st.integers(0, 8 * len(flipped) - 1), label="bit")
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    (out / artifact).write_bytes(bytes(flipped))
+    try:
+        code = main([stage, "--config", str(cfg)])  # an exception escaping main() fails the test
+    finally:
+        for path, payload in pristine.items():
+            path.write_bytes(payload)
+    assert code in (0, 2), capsys.readouterr().err

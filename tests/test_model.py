@@ -9,6 +9,7 @@ from bpnet.model import (
     AdamState,
     LstmWeights,
     ModelError,
+    ModelParams,
     NonFiniteActivation,
     TrainConfig,
     TrainedModel,
@@ -342,15 +343,6 @@ class TestTrain:
         for (_, a), (_, b) in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
 
-    def test_caller_params_unchanged(self, rng):
-        dataset = _toy_dataset(rng)
-        config = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=2)
-        start = init_params(5, input_dim=513, dense_units=4, hidden=4, output_dim=2)
-        before = start.flat.copy()
-        trained, _ = train(dataset, config, params=start)
-        assert np.array_equal(start.flat, before)
-        assert not np.array_equal(trained.flat, before)
-
     def test_empty_partition_rejected(self, rng):
         dataset = _toy_dataset(rng)
         empty = DatasetSplit(dataset.train[:0], dataset.validation, dataset.test, dataset.stats)
@@ -416,6 +408,19 @@ class TestModelFile:
         path2 = tmp_path / "model2.bpnet"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, unwritable):
+        path = tmp_path / "model.bpnet"
+        stats = ChannelStats(0.0, 1.0, 0.0, 1.0)
+        save_model(TrainedModel(_tiny_params(seed=1), m=4, stats=stats), path)
+        before = path.read_bytes()
+        params = _tiny_params(seed=2)
+        # The header is written before the parameter payload fails.
+        failing = TrainedModel(ModelParams(params.dims, unwritable(params.flat)), m=4, stats=stats)
+        with pytest.raises(OSError, match="no space"):
+            save_model(failing, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bpnet"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bpnet"

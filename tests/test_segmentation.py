@@ -9,18 +9,16 @@ from bpnet.segmentation import (
     FEATURE_DIM,
     ChannelStats,
     DatasetError,
-    SampleRejected,
     SegmentationError,
     Sequences,
     _plateau_extrema,
-    _resample_spans,
-    build_feature_vector,
     build_sequences,
     detect_ppg_peaks,
-    extract_targets,
     load_dataset,
-    resample_to,
+    resample_spans,
     save_dataset,
+    span_features,
+    span_targets,
     split_and_standardize,
 )
 
@@ -99,52 +97,58 @@ class TestPlateauExtrema:
         assert maxima.tolist() == [3] and minima.tolist() == [1, 7]
 
 
+def _span(lo, hi):
+    """One-span `lo`, `hi` arrays for the span functions."""
+    return np.array([lo]), np.array([hi])
+
+
 class TestFeatureVector:
     def test_identity_resample_256(self):
         ecg = np.sin(np.arange(600) * 0.04)
         ppg = np.cos(np.arange(600) * 0.03)
-        fv = build_feature_vector(ecg, ppg, 100, 356, FS)
-        assert fv.shape == (FEATURE_DIM,)
+        (fv,), (code,) = span_features(ecg, ppg, *_span(100, 356), FS)
+        assert fv.shape == (FEATURE_DIM,) and code == 0
         assert np.max(np.abs(fv[:256] - ecg[100:356])) <= 1e-12
         assert np.max(np.abs(fv[256:512] - ppg[100:356])) <= 1e-12
         assert fv[-1] == pytest.approx(1.0)
 
     def test_linear_ramp_preserved(self):
         ramp = np.linspace(0.0, 1.0, 300)
-        fv = build_feature_vector(ramp, ramp, 0, 300, FS)
+        (fv,), _ = span_features(ramp, ramp, *_span(0, 300), FS)
         expected = np.linspace(0.0, 1.0, 256)
         assert np.max(np.abs(fv[:256] - expected)) <= 1e-9
 
     def test_norm_length_arithmetic(self):
         ecg = np.zeros(400)
-        fv = build_feature_vector(ecg, ecg, 50, 300, FS)
+        (fv,), _ = span_features(ecg, ecg, *_span(50, 300), FS)
         assert fv[-1] == pytest.approx(250.0 / 256.0)
 
     def test_endpoints_preserved(self, rng):
         x = rng.standard_normal(500)
-        fv = build_feature_vector(x, x, 17, 417, FS)
+        (fv,), _ = span_features(x, x, *_span(17, 417), FS)
         assert fv[0] == pytest.approx(x[17], abs=1e-12)
         assert fv[255] == pytest.approx(x[416], abs=1e-12)
 
     def test_rejects_short_and_long(self):
         x = np.zeros(3000)
-        with pytest.raises(SampleRejected, match="shorter"):
-            build_feature_vector(x, x, 0, 10, FS)
-        with pytest.raises(SampleRejected, match="longer"):
-            build_feature_vector(x, x, 0, int(10 * FS) + 1, FS)
+        _, (code,) = span_features(x, x, *_span(0, 10), FS)
+        assert code == 2  # shorter than 16 samples
+        _, (code,) = span_features(x, x, *_span(0, int(10 * FS) + 1), FS)
+        assert code == 3  # longer than 10 s
 
 
 class TestTargets:
     def test_constant_abp_rejected(self):
-        with pytest.raises(SampleRejected, match="no detectable"):
-            extract_targets(np.full(300, 100.0), FS, (0, 300))
+        _, (code,) = span_targets(np.full(300, 100.0), FS, *_span(0, 300))
+        assert code == 6  # no detectable beats
 
     def test_sinusoidal_abp(self):
         # Analytic extrema: 100 +/- 20 over two full cycles at 1.2 Hz.
         n = int(2 / 1.2 * FS) + 1
         t = np.arange(n) / FS
         abp = 100 + 20 * np.sin(2 * np.pi * 1.2 * t)
-        sbp, dbp = extract_targets(abp, FS, (0, n))
+        ((sbp, dbp),), (code,) = span_targets(abp, FS, *_span(0, n))
+        assert code == 0
         assert sbp == pytest.approx(120.0, abs=0.5)
         assert dbp == pytest.approx(80.0, abs=0.5)
 
@@ -156,7 +160,8 @@ class TestTargets:
                 np.linspace(82, 100, 20),
             ]
         )
-        sbp, dbp = extract_targets(seg, FS, (0, seg.size))
+        ((sbp, dbp),), (code,) = span_targets(seg, FS, *_span(0, seg.size))
+        assert code == 0
         assert sbp == pytest.approx(120.0)
         assert dbp == pytest.approx(80.0)
 
@@ -164,8 +169,8 @@ class TestTargets:
         n = int(2 / 1.2 * FS) + 1
         t = np.arange(n) / FS
         too_high = 400 + 20 * np.sin(2 * np.pi * 1.2 * t)
-        with pytest.raises(SampleRejected, match="implausible"):
-            extract_targets(too_high, FS, (0, n))
+        _, (code,) = span_targets(too_high, FS, *_span(0, n))
+        assert code == 7  # implausible pressures
 
 
 def _aligned_triple(n_pulses, f0=1.2):
@@ -225,12 +230,8 @@ class TestRejectedVectors:
         # Reference: the per-vector loop over every candidate start.
         ok = []
         for i in range(peaks.size - 2):
-            try:
-                build_feature_vector(ecg, ppg, peaks[i], peaks[i + 2], FS)
-                extract_targets(abp, FS, (peaks[i], peaks[i + 2]))
-                ok.append(True)
-            except SampleRejected:
-                ok.append(False)
+            span = _span(peaks[i], peaks[i + 2])
+            ok.append(span_features(ecg, ppg, *span, FS)[1][0] == 0 and span_targets(abp, FS, *span)[1][0] == 0)
         starts = [s for s in range(len(ok) - m + 1) if all(ok[s : s + m])]
         assert not all(ok) and starts
         assert seqs.first.tolist() == starts
@@ -255,10 +256,10 @@ def test_batched_resampling_equals_np_interp_bytes(data):
     x[pick < 0.2] = rng.choice(np.array(palette + [-0.0, 0.0]), (2, size))[pick < 0.2]
     x[pick > 0.9] = -0.0
     x[:, size // 3 : size // 2] = x[:, size // 3 : size // 3 + 1]  # a run of repeated samples
-    rows = _resample_spans(x, lo, hi)
+    rows = resample_spans(x, lo, hi)
     assert rows.shape == (2, len(lengths), 256)
     for c in range(2):
-        assert _resample_spans(x[c], lo, hi).tobytes() == rows[c].tobytes()
+        assert resample_spans(x[c], lo, hi).tobytes() == rows[c].tobytes()
         for s, (a, b) in enumerate(zip(lo, hi)):
             ref = np.interp(np.linspace(0.0, b - a - 1.0, 256), np.arange(b - a, dtype=float), x[c, a:b])
             assert rows[c, s].tobytes() == ref.tobytes(), (c, s)
@@ -314,21 +315,22 @@ def test_build_sequences_with_rejected_targets_matches_per_vector_loop():
     assert seqs.first.tolist() == first
 
 
-def test_one_span_rejection_messages():
+def test_one_span_rejection_codes():
     x = np.zeros(400)
-    for lo, hi, message in [
-        (50, 50, "peak order violation: 50 >= 50"),
-        (-5, 100, "segment outside signal bounds"),
-        (350, 450, "segment outside signal bounds"),
+    for lo, hi, expected in [
+        (50, 50, 1),  # peak order violation
+        (-5, 100, 4),  # outside signal bounds
+        (350, 450, 4),
     ]:
-        with pytest.raises(SampleRejected, match=f"^{message}$"):
-            build_feature_vector(x, x, lo, hi, FS)
-    with pytest.raises(SampleRejected, match="^empty ABP span$"):
-        extract_targets(x, FS, (120, 100))
+        (row,), (code,) = span_features(x, x, *_span(lo, hi), FS)
+        assert code == expected and not row.any(), (lo, hi)
+    _, (code,) = span_targets(x, FS, *_span(120, 100))
+    assert code == 5  # empty ABP span
     n = int(2 / 1.2 * FS) + 1
     high = 400 + 20 * np.sin(2 * np.pi * 1.2 * np.arange(n) / FS)
-    with pytest.raises(SampleRejected, match=r"^implausible pressures sbp=420\.0 dbp=380\.0$"):
-        extract_targets(high, FS, (0, n))
+    (pair,), (code,) = span_targets(high, FS, *_span(0, n))
+    # An implausible span keeps the pair that failed.
+    assert code == 7 and [f"{v:.1f}" for v in pair] == ["420.0", "380.0"]
 
 
 def _toy_samples(count, patient="p0", m=4, start=0, rng=None):
@@ -509,11 +511,25 @@ class TestDatasetFile:
         with pytest.raises(ValueError, match="share one row table"):
             save_dataset(split, tmp_path / "a.bpseq")
 
+    def test_failed_write_keeps_previous_files(self, tmp_path, unwritable):
+        split = split_and_standardize(_toy_samples(30))
+        path = tmp_path / "data.bpseq"
+        save_dataset(split, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # The header and features are written before the targets fail.
+        targets = unwritable(split.train.targets)
+        for part in (split.train, split.validation, split.test):
+            part.targets = targets
+        with pytest.raises(OSError, match="no space"):
+            save_dataset(split, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_resample_helper_identity(self, rng):
         x = rng.standard_normal(256)
         x[::17] = -0.0
-        assert resample_to(x).tobytes() == x.tobytes()
-        assert resample_to(x) is not x
+        (row,) = resample_spans(x, *_span(0, 256))
+        assert row.tobytes() == x.tobytes()
+        assert row is not x
 
 
 @pytest.fixture

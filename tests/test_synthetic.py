@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bpnet.recordio import read_csv_record, select_channels
-from bpnet.segmentation import build_sequences, detect_ppg_peaks, extract_targets
+from bpnet.segmentation import build_sequences, detect_ppg_peaks, span_targets
 from bpnet.synthetic import SyntheticConfig, generate
 
 
@@ -32,10 +32,12 @@ def test_ppg_pulse_per_beat(clean_record):
 def test_abp_extrema_match_configured_pressures(clean_record):
     rec = clean_record
     fs = rec.config.fs
-    for k in (2, 10, 30):
-        lo = int(rec.beat_times[k] * fs)
-        hi = int(rec.beat_times[k + 2] * fs)
-        sbp, dbp = extract_targets(rec.abp, fs, (lo, hi))
+    beats = np.array([2, 10, 30])
+    lo = (rec.beat_times[beats] * fs).astype(int)
+    hi = (rec.beat_times[beats + 2] * fs).astype(int)
+    pairs, code = span_targets(rec.abp, fs, lo, hi)
+    assert not code.any()
+    for k, (sbp, dbp) in zip(beats, pairs):
         assert sbp == pytest.approx(np.mean(rec.sbp_beats[k : k + 2]), abs=0.5)
         assert dbp == pytest.approx(np.mean(rec.dbp_beats[k : k + 2]), abs=0.5)
 

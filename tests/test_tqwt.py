@@ -8,6 +8,7 @@ from bpnet.tqwt import (
     SubbandSet,
     TqwtError,
     TqwtParams,
+    _next_pow2,
     build_q_lookup,
     decompose,
     q_grid,
@@ -162,6 +163,33 @@ def test_geometry_mismatch_rejected(rng):
 def test_level_out_of_range():
     with pytest.raises(TqwtError, match="out of range"):
         subband_frequencies(TqwtParams(q=1.0, levels=10), 125.0, 11)
+
+
+def _scanned_min_signal_length(params):
+    """Reference: step n one at a time until the final lowpass keeps 8 samples."""
+    n = 8
+    while 2 * round(params.alpha**params.levels * _next_pow2(n) / 2) < 8:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("q", [1.0, 1.08, 1.4, 2.0, 4.0])
+@pytest.mark.parametrize("r", [3.0, 5.0])
+def test_min_signal_length_matches_linear_scan(q, r):
+    for levels in range(1, 16):
+        params = TqwtParams(q=q, r=r, levels=levels)
+        assert params.min_signal_length() == _scanned_min_signal_length(params), levels
+
+
+def test_min_signal_length_with_no_lowpass_band_rejected():
+    with pytest.raises(TqwtError, match="no lowpass band"):
+        TqwtParams(q=1.0, levels=100_000).min_signal_length()
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-18])  # past numpy's size limit; past any address space
+def test_unbuildable_q_grid_rejected(step):
+    with pytest.raises(TqwtError, match="cannot build a Q grid"):
+        q_grid(1.0, 1.4, step)
 
 
 def test_invalid_params_rejected():
