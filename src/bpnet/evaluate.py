@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bpnet.atomic import atomic_open
+
 AAMI_ME_LIMIT = 5.0
 AAMI_SDE_LIMIT = 8.0
 
@@ -200,7 +202,7 @@ class EvalReport:
             "bhs_p5", "bhs_p10", "bhs_p15", "bhs_grade",
             "loa_low", "loa_high", "pearson",
         ]
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(fields)
             for rep in (self.sbp, self.dbp):
@@ -217,11 +219,17 @@ class EvalReport:
 
 
 def _bp_report(label: str, estimated: np.ndarray, truth: np.ndarray) -> BpReport:
+    """One pressure's report; EvaluateError when an error statistic overflows."""
     series = ErrorSeries(estimated, truth)
-    mae, rmse = mae_rmse(series)
-    me, sde, ok = aami_check(series)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mae, rmse = mae_rmse(series)
+        me, sde, ok = aami_check(series)
+        ba = bland_altman(series)
+    limits = {"MAE": mae, "RMSE": rmse, "ME": me, "SDE": sde, "LOA low": ba.loa_low, "LOA high": ba.loa_high}
+    overflowed = [name for name, value in limits.items() if not math.isfinite(value)]
+    if overflowed:
+        raise EvaluateError(f"{label} {', '.join(overflowed)} not finite: the estimates are out of range")
     p5, p10, p15, grade = bhs_grade(series)
-    ba = bland_altman(series)
     return BpReport(
         label, series.n, mae, rmse, me, sde, ok, p5, p10, p15, grade,
         ba.loa_low, ba.loa_high, pearson_r(series),
@@ -298,12 +306,6 @@ def tracking_export(preds: np.ndarray, truth: np.ndarray, path_base) -> tuple[st
 
     csv_path = f"{path_base}.csv"
     svg_path = f"{path_base}.svg"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "sbp_true", "sbp_est", "dbp_true", "dbp_est"])
-        for i, ((st, dt), (se, de)) in enumerate(zip(truth.tolist(), preds.tolist())):
-            writer.writerow([i, f"{st:.4f}", f"{se:.4f}", f"{dt:.4f}", f"{de:.4f}"])
-
     width, panel_h = 860.0, 240.0
     panels = [
         _chart(
@@ -319,6 +321,11 @@ def tracking_export(preds: np.ndarray, truth: np.ndarray, path_base) -> tuple[st
         f'height="{2 * panel_h:.0f}" viewBox="0 0 {width:.0f} {2 * panel_h:.0f}">\n'
         f"{body}\n</svg>\n"
     )
-    with open(svg_path, "w") as fh:
-        fh.write(svg)
+    # Both files are renamed into place only after both are fully written.
+    with atomic_open(csv_path, "w", newline="") as fh, atomic_open(svg_path, "w") as svg_fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "sbp_true", "sbp_est", "dbp_true", "dbp_est"])
+        for i, ((st, dt), (se, de)) in enumerate(zip(truth.tolist(), preds.tolist())):
+            writer.writerow([i, f"{st:.4f}", f"{se:.4f}", f"{dt:.4f}", f"{de:.4f}"])
+        svg_fh.write(svg)
     return csv_path, svg_path

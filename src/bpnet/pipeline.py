@@ -375,14 +375,14 @@ def stage_eval(config: PipelineConfig) -> str:
             estimates[mask] = model.predict_batch(scored[mask].input_array())
     (sbp_est, dbp_est), (sbp_true, dbp_true) = estimates.T.copy(), scored.target_array()[:, -1].T.copy()
     rows = zip(scored.patient.tolist(), scored.start.tolist(), sbp_true, sbp_est, dbp_true, dbp_est)
+    # Built first: an estimate whose errors overflow raises before any artifact is written.
+    report = assemble_report(sbp_est, sbp_true, dbp_est, dbp_true)
 
     pred_lines = ["patient,start_index,sbp_true,sbp_est,dbp_true,dbp_est"]
     pred_lines += [
         f"{p},{i},{st:.4f},{se:.4f},{dt:.4f},{de:.4f}" for p, i, st, se, dt, de in rows
     ]
     _atomic_text(out / "predictions.csv", "\n".join(pred_lines) + "\n")
-
-    report = assemble_report(sbp_est, sbp_true, dbp_est, dbp_true)
     text = report.to_text()
     _atomic_text(out / "report.txt", text)
     report.to_csv(out / "report.csv")

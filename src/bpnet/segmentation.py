@@ -372,19 +372,43 @@ def split_and_standardize(
     train, validation, test = (samples[np.concatenate(idx)] for idx in (train, validation, test))
 
     # Moments over the train sequences' rows in sequence order, a row counted
-    # once per sequence that holds it.
-    rows = train.rows()
+    # once per sequence that holds it: np.mean and np.std of that gather,
+    # summed piece by piece without building it.
+    rows = train.rows().ravel()
+    size = rows.size * WAVE_POINTS
     moments = []
     for lo in (0, WAVE_POINTS):
-        channel = samples.vectors[:, lo : lo + WAVE_POINTS][rows].ravel()
-        mean = float(np.mean(channel))
-        channel -= mean  # np.std's own steps, in place on the gathered copy
-        channel *= channel
-        moments += [mean, float(np.sqrt(np.sum(channel) / channel.size)) or 1.0]
-        del channel  # freed before the next channel is gathered
+        wave = samples.vectors[:, lo : lo + WAVE_POINTS]
+        mean = float(_gathered_sum(wave, rows, 0, size) / size)
+        moments += [mean, float(np.sqrt(_gathered_sum(wave, rows, 0, size, mean) / size)) or 1.0]
     stats = ChannelStats(*moments)
     standardize_features(samples.vectors, stats)
     return DatasetSplit(train, validation, test, stats)
+
+
+SUM_PIECE = 1 << 17  # elements gathered at a time for the train moments: 1 MB of float64
+
+
+def _gathered_sum(wave: np.ndarray, rows: np.ndarray, start: int, n: int, mean: float | None = None):
+    """np.add.reduce of ``wave[rows].ravel()[start:start + n]``, bit for bit, without that gather.
+
+    numpy sums a contiguous float64 array pairwise: above 128 elements it
+    splits n at n // 2 rounded down to a multiple of 8.  Following those
+    splits down to pieces of at most SUM_PIECE elements and reducing each
+    piece gives the same bits.  With `mean`, the piece's squared deviations
+    are summed instead (np.std's in-place steps).
+    """
+    if n > max(SUM_PIECE, 128):
+        half = n // 2
+        half -= half % 8
+        left = _gathered_sum(wave, rows, start, half, mean)
+        return left + _gathered_sum(wave, rows, start + half, n - half, mean)
+    first, offset = divmod(start, WAVE_POINTS)
+    piece = wave[rows[first : -(-(start + n) // WAVE_POINTS)]].ravel()[offset : offset + n]
+    if mean is not None:
+        piece -= mean
+        piece *= piece
+    return np.add.reduce(piece)
 
 
 def standardize_features(arr: np.ndarray, stats: ChannelStats) -> np.ndarray:
@@ -400,6 +424,7 @@ SPLIT_NAMES = ("train", "validation", "test")
 # Magic, uint32 sequence count / row count / M / feature dim, four float64 channel statistics.
 DATASET_HEADER = struct.Struct("<6s4I4d")
 MANIFEST_COLUMNS = ["patient", "start_index", "split"]
+WRITE_ROWS = 512  # feature rows converted to float32 per write
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
@@ -426,7 +451,8 @@ def save_dataset(split: DatasetSplit, path) -> None:
             DATASET_MAGIC, first.size, len(table.vectors), table.m, FEATURE_DIM,
             s.ecg_mean, s.ecg_std, s.ppg_mean, s.ppg_std,
         ))
-        table.vectors.astype("<f4").tofile(fh)
+        for lo in range(0, len(table.vectors), WRITE_ROWS):  # ~1 MB of float32 at a time
+            table.vectors[lo : lo + WRITE_ROWS].astype("<f4").tofile(fh)
         table.targets.astype("<f4").tofile(fh)
         first.astype("<u4").tofile(fh)
         writer = csv.writer(manifest)
@@ -441,7 +467,8 @@ def load_dataset(path) -> DatasetSplit:
     """Read a BPSEQ2 container written by :func:`save_dataset`.
 
     The three partitions of the returned split share one V-row table.  A
-    malformed container or manifest raises DatasetError.
+    malformed container or manifest, or a non-finite feature or target in
+    any row, raises DatasetError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -490,6 +517,11 @@ def load_dataset(path) -> DatasetSplit:
 
     vectors = np.frombuffer(data, "<f4", n_rows * FEATURE_DIM, DATASET_HEADER.size).reshape(n_rows, FEATURE_DIM)
     targets = np.frombuffer(data, "<f4", n_rows * 2, targets_at).reshape(n_rows, 2)
+    features_ok, targets_ok = np.isfinite(vectors).all(axis=1), np.isfinite(targets).all(axis=1)
+    bad = np.flatnonzero(~(features_ok & targets_ok))
+    if bad.size:
+        kind = "target" if features_ok[bad[0]] else "feature"
+        raise DatasetError(f"dataset row {bad[0]} holds a non-finite {kind}")
     table = Sequences(vectors.astype(float), targets.astype(float), first, np.array(patient, dtype=str), start, m)
     names = np.array(names)
     train, validation, test = (table[names == name] for name in SPLIT_NAMES)

@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from bpnet.atomic import atomic_open
+
 
 class TqwtError(ValueError):
     """Invalid parameters, geometry mismatch, or unusable input signal."""
@@ -329,7 +331,7 @@ class FrequencyTable:
         return int(self.qs.size)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["q", "center_hz", "lower3db_hz"])
             for q, c, lo in zip(self.qs, self.centers_hz, self.lower3db_hz):

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def test_eval_non_finite_estimate_exits_2(tmp_path, synth_csv, capsys):
     assert "non-finite prediction" in capsys.readouterr().err
 
 
+def test_eval_overflowing_estimate_exits_2_and_keeps_artifacts(tmp_path, synth_csv, capsys):
+    from bpnet.model import load_model, save_model
+
+    cfg, model_path = _trained_run(tmp_path, synth_csv)
+    assert main(["eval", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    before = {name: (out / name).read_bytes() for name in ("predictions.csv", "report.txt", "report.csv")}
+    trained = load_model(model_path)
+    trained.params.head_b[0] = 1e200  # finite, but its squared errors overflow
+    save_model(trained, model_path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "RMSE" in err and "not finite" in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
 def _segmented_run(tmp_path, synth_csv):
     cfg = _write_config(tmp_path, synth_csv)
     for stage in ("ingest", "preprocess", "segment"):
@@ -190,6 +212,23 @@ def test_train_on_dataset_with_trailing_bytes_exits_2(tmp_path, synth_csv, capsy
     path.write_bytes(path.read_bytes() + bytes(100))
     assert main(["train", "--config", str(cfg)]) == 2
     assert "payload" in capsys.readouterr().err
+
+
+def test_train_on_non_finite_test_feature_exits_2(tmp_path, synth_csv, capsys):
+    from bpnet.segmentation import FEATURE_DIM, load_dataset
+
+    cfg, path = _segmented_run(tmp_path, synth_csv)
+    split = load_dataset(path)
+    held = np.setdiff1d(split.test.rows(), np.concatenate([split.train.rows(), split.validation.rows()]))
+    row = int(held[0])  # read only by test sequences, so training never touches it
+    column = int(np.flatnonzero((split.test.vectors[row] >= 1.0) & (split.test.vectors[row] < 2.0))[0])
+    data = bytearray(path.read_bytes())
+    at = struct.calcsize("<6s4I4d") + (row * FEATURE_DIM + column) * 4
+    (word,) = struct.unpack_from("<I", data, at)
+    struct.pack_into("<I", data, at, word | 1 << 30)  # exponent all ones: NaN or inf
+    path.write_bytes(bytes(data))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"dataset row {row} holds a non-finite feature" in capsys.readouterr().err
 
 
 def test_train_on_bpseq1_dataset_exits_2(tmp_path, synth_csv, capsys):

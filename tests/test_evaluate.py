@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,28 @@ class TestReportAndTracking:
         _, svg_path = tracking_export(preds, truth, tmp_path / "track")
         svg = open(svg_path).read()
         assert svg.count("<polyline") == 4
+
+    @pytest.mark.parametrize("fails_in", ["report.csv", "tracking.csv", "tracking.svg"])
+    def test_failed_write_keeps_previous_files(self, rng, tmp_path, full_disk, fails_in):
+        old, new = self._series(rng), self._series(rng)
+        assemble_report(*old).to_csv(tmp_path / "report.csv")
+        tracking_export(np.column_stack(old[::2]), np.column_stack(old[1::2]), tmp_path / "tracking")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # Each file takes this many characters before the disk is full.
+        full_disk(len(before["tracking.csv"]) + 100 if fails_in == "tracking.svg" else 100)
+        with pytest.raises(OSError, match="no space"):
+            if fails_in == "report.csv":
+                assemble_report(*new).to_csv(tmp_path / "report.csv")
+            else:
+                tracking_export(np.column_stack(new[::2]), np.column_stack(new[1::2]), tmp_path / "tracking")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_overflowing_estimates_rejected(self, rng):
+        sbp_est, sbp_true, dbp_est, dbp_true = self._series(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluateError, match="SBP RMSE, SDE, LOA low, LOA high not finite"):
+                assemble_report(sbp_est * 1e200, sbp_true, dbp_est, dbp_true)
 
     def test_tracking_rejects_misaligned_arrays(self, tmp_path):
         with pytest.raises(EvaluateError, match="aligned"):

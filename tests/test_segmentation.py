@@ -1,10 +1,14 @@
 import struct
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bpnet import segmentation
 from bpnet.segmentation import (
     FEATURE_DIM,
     ChannelStats,
@@ -366,6 +370,46 @@ class TestSplit:
         ecg, ppg = (raw[:, lo : lo + 256][split.train.rows()].ravel() for lo in (0, 256))
         assert split.stats == ChannelStats(np.mean(ecg), np.std(ecg), np.mean(ppg), np.std(ppg))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stats_equal_numpy_moments_piece_by_piece(self, data):
+        """Random tables, M, train selections and piece sizes: moments equal the gather's."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = data.draw(st.integers(1, 12), label="m")
+        n_rows = data.draw(st.integers(m, 150), label="rows")
+        count = data.draw(st.integers(10, 90), label="sequences")
+        train = data.draw(st.floats(0.1, 0.9), label="train fraction")
+        validation = data.draw(st.floats(0.0, 1.0 - train), label="validation fraction")
+        piece = data.draw(st.integers(8, 4096), label="piece")
+        vectors = rng.standard_normal((n_rows, FEATURE_DIM)) * rng.uniform(0.1, 50.0, FEATURE_DIM)
+        vectors += rng.uniform(-20.0, 20.0)
+        patient = rng.choice(["a", "b", "c"], count)
+        patient[:10] = "a"  # one patient always has enough sequences to split
+        first = rng.integers(0, n_rows - m + 1, count)
+        samples = Sequences(vectors, np.zeros((n_rows, 2)), first, patient, rng.permutation(count), m)
+        raw = vectors.copy()
+        with mock.patch.object(segmentation, "SUM_PIECE", piece), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # patients below the sequence minimum
+            split = split_and_standardize(samples, (train, validation, 1.0 - train - validation))
+        ecg, ppg = (raw[:, lo : lo + 256][split.train.rows()].ravel() for lo in (0, 256))
+        assert split.stats == ChannelStats(np.mean(ecg), np.std(ecg), np.mean(ppg), np.std(ppg))
+
+    def test_moments_traced_peak_below_quarter_of_gather(self):
+        samples = _toy_samples(1200, m=10)
+        raw = samples.vectors.copy()
+        gather_bytes = 840 * 10 * 256 * 8  # one channel of the 840 train sequences' rows
+        assert gather_bytes >= 16 * 2**20
+        tracemalloc.start()
+        try:
+            split = split_and_standardize(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(split.train) == 840
+        assert peak < gather_bytes / 4, (peak, gather_bytes)
+        ecg, ppg = (raw[:, lo : lo + 256][split.train.rows()].ravel() for lo in (0, 256))
+        assert split.stats == ChannelStats(np.mean(ecg), np.std(ecg), np.mean(ppg), np.std(ppg))
+
     def test_validation_uses_train_statistics(self):
         rng = np.random.default_rng(1)
         samples = _toy_samples(50, rng=rng)
@@ -487,6 +531,14 @@ class TestDatasetFile:
         assert manifest[1] == f"a,{int(split.train.start[0])},train"
         assert len(manifest) == 1 + 600
 
+    @pytest.mark.parametrize("write_rows", [7, 100, 512])
+    def test_piecewise_feature_write_matches_one_shot_bytes(self, tmp_path, monkeypatch, write_rows):
+        split = split_and_standardize(_toy_samples(250))
+        assert len(split.train.vectors) % write_rows != 0  # 253 rows: the last write is short
+        monkeypatch.setattr(segmentation, "WRITE_ROWS", write_rows)
+        save_dataset(split, tmp_path / "data.bpseq")
+        assert (tmp_path / "data.bpseq").read_bytes() == _reference_bpseq(split)
+
     def test_loaded_split_round_trips_bytes(self, tmp_path):
         split = split_and_standardize(_toy_samples(30))
         save_dataset(split, tmp_path / "a.bpseq")
@@ -607,6 +659,18 @@ class TestDatasetErrors:
         manifest = saved_dataset.with_name(saved_dataset.name + ".manifest.csv")
         manifest.write_text(manifest.read_text().replace(",test\n", ",bogus\n", 1))
         with pytest.raises(DatasetError, match="bogus"):
+            load_dataset(saved_dataset)
+
+    @pytest.mark.parametrize("kind, value", [("feature", np.nan), ("target", np.inf)])
+    def test_non_finite_row(self, saved_dataset, kind, value):
+        data = bytearray(saved_dataset.read_bytes())
+        _, _, n_rows, *_ = struct.unpack_from("<6s4I4d", data)
+        row = 5
+        word = row * FEATURE_DIM + 7 if kind == "feature" else n_rows * FEATURE_DIM + row * 2 + 1
+        offset = struct.calcsize("<6s4I4d") + word * 4
+        struct.pack_into("<f", data, offset, value)
+        saved_dataset.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match=f"dataset row {row} holds a non-finite {kind}"):
             load_dataset(saved_dataset)
 
     def test_missing_manifest(self, saved_dataset):

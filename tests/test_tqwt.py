@@ -137,6 +137,18 @@ def test_lookup_csv_roundtrip(q_table, tmp_path):
     assert np.allclose(loaded.lower3db_hz, q_table.lower3db_hz, rtol=1e-9)
 
 
+def test_failed_csv_write_keeps_previous_table(q_table, tmp_path, full_disk):
+    path = tmp_path / "qtable.csv"
+    q_table.to_csv(path)
+    before = path.read_bytes()
+    head = FrequencyTable(q_table.qs[:5], q_table.centers_hz[:5], q_table.lower3db_hz[:5], 125.0, 10)
+    full_disk(60)  # the header and part of the first row
+    with pytest.raises(OSError, match="no space"):
+        head.to_csv(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["qtable.csv"]
+
+
 def test_signal_too_short_rejected():
     params = TqwtParams(q=1.08, r=3.0, levels=10)
     with pytest.raises(TqwtError, match="too short"):
