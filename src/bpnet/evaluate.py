@@ -132,25 +132,18 @@ class BoxStats:
     q1: float
     median: float
     q3: float
-    whisker_low: float
-    whisker_high: float
     outliers: np.ndarray
 
 
 def box_stats(values: np.ndarray) -> BoxStats:
-    """Quartiles by linear interpolation; whiskers at 1.5 IQR; outliers listed."""
+    """Quartiles by linear interpolation; outliers beyond 1.5 IQR listed."""
     x = np.asarray(values, dtype=float)
     if x.size < 4:
         raise EvaluateError(f"need at least 4 values, got {x.size}")
     q1, med, q3 = (float(v) for v in np.percentile(x, [25, 50, 75]))
     iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inside = x[(x >= lo_fence) & (x <= hi_fence)]
-    return BoxStats(
-        q1, med, q3,
-        float(np.min(inside)), float(np.max(inside)),
-        np.sort(x[(x < lo_fence) | (x > hi_fence)]),
-    )
+    return BoxStats(q1, med, q3, np.sort(x[(x < lo_fence) | (x > hi_fence)]))
 
 
 @dataclass
@@ -168,7 +161,7 @@ class BpReport:
     bhs_grade: str
     loa_low: float
     loa_high: float
-    pearson: float
+    pearson: float | None  # None when either series is constant
     box_truth: BoxStats
     box_estimate: BoxStats
 
@@ -188,7 +181,8 @@ class EvalReport:
                 f"AAMI {'pass' if rep.aami_pass else 'FAIL'}",
                 f"  BHS  <5: {rep.bhs_p5:6.2f}%  <10: {rep.bhs_p10:6.2f}%  "
                 f"<15: {rep.bhs_p15:6.2f}%   grade {rep.bhs_grade}",
-                f"  LOA  [{rep.loa_low:.4f}, {rep.loa_high:.4f}] mmHg    r {rep.pearson:.4f}",
+                f"  LOA  [{rep.loa_low:.4f}, {rep.loa_high:.4f}] mmHg    "
+                f"r {'n/a' if rep.pearson is None else f'{rep.pearson:.4f}'}",
                 f"  box truth    q1 {rep.box_truth.q1:.2f}  med {rep.box_truth.median:.2f}  "
                 f"q3 {rep.box_truth.q3:.2f}  outliers {rep.box_truth.outliers.size}",
                 f"  box estimate q1 {rep.box_estimate.q1:.2f}  med {rep.box_estimate.median:.2f}  "
@@ -213,13 +207,17 @@ class EvalReport:
                         int(rep.aami_pass),
                         f"{rep.bhs_p5:.4f}", f"{rep.bhs_p10:.4f}", f"{rep.bhs_p15:.4f}",
                         rep.bhs_grade,
-                        f"{rep.loa_low:.6f}", f"{rep.loa_high:.6f}", f"{rep.pearson:.6f}",
+                        f"{rep.loa_low:.6f}", f"{rep.loa_high:.6f}",
+                        "" if rep.pearson is None else f"{rep.pearson:.6f}",
                     ]
                 )
 
 
 def _bp_report(label: str, estimated: np.ndarray, truth: np.ndarray) -> BpReport:
-    """One pressure's report; EvaluateError when an error statistic overflows."""
+    """One pressure's report; EvaluateError when an error statistic overflows.
+
+    Pearson r is left out (None) unless both series vary.
+    """
     series = ErrorSeries(estimated, truth)
     with np.errstate(over="ignore", invalid="ignore"):
         mae, rmse = mae_rmse(series)
@@ -230,9 +228,10 @@ def _bp_report(label: str, estimated: np.ndarray, truth: np.ndarray) -> BpReport
     if overflowed:
         raise EvaluateError(f"{label} {', '.join(overflowed)} not finite: the estimates are out of range")
     p5, p10, p15, grade = bhs_grade(series)
+    varies = np.ptp(series.estimated) > 0 and np.ptp(series.truth) > 0
     return BpReport(
         label, series.n, mae, rmse, me, sde, ok, p5, p10, p15, grade,
-        ba.loa_low, ba.loa_high, pearson_r(series),
+        ba.loa_low, ba.loa_high, pearson_r(series) if varies else None,
         box_stats(truth), box_stats(estimated),
     )
 

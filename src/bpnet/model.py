@@ -153,7 +153,6 @@ class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    steps: int = 0
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple) -> np.ndarray:
@@ -267,7 +266,6 @@ class ForwardCache:
     dense_pre: np.ndarray  # (M*B, dense_units)
     fw_cache: LstmCache
     bw_cache: LstmCache    # runs over the time-reversed sequence
-    bi_out: np.ndarray     # (M, B, 2H) concatenated bidirectional output
     lstm2_cache: LstmCache
     outputs: np.ndarray    # (B, M, out)
 
@@ -287,7 +285,7 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Forwa
     bi_out = np.concatenate([h_fw, h_bw_rev[::-1]], axis=2)
     h2, lstm2_cache = lstm_forward(bi_out, params.lstm2, "second lstm")
     outputs = np.ascontiguousarray((h2 @ params.head_w + params.head_b).transpose(1, 0, 2))
-    return outputs, ForwardCache(x2, dense_pre, fw_cache, bw_cache, bi_out, lstm2_cache, outputs)
+    return outputs, ForwardCache(x2, dense_pre, fw_cache, bw_cache, lstm2_cache, outputs)
 
 
 def backward_batch(
@@ -425,7 +423,6 @@ def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, Trai
             grads = clip_gradient_norm(grads, config.grad_cap)
             adam_step(params, grads, state, config.learning_rate)
             epoch_losses.append(loss)
-            history.steps += 1
         history.train_loss.append(float(np.mean(epoch_losses)))
 
         val = _mean_loss(params, x_val, y_val)

@@ -12,6 +12,7 @@ resolved config hash records every stage's inputs and outputs.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import shutil
@@ -41,7 +42,7 @@ from bpnet.segmentation import (
     save_dataset,
     split_and_standardize,
 )
-from bpnet.tqwt import FrequencyTable, build_q_lookup, q_grid
+from bpnet.tqwt import FrequencyTable, build_q_lookup
 
 STAGES = ("ingest", "preprocess", "segment", "train", "eval", "track", "report")
 
@@ -78,14 +79,24 @@ def _replaced_tree(root: Path):
     os.replace(tmp, root)
 
 
+def _read_manifest(path: Path) -> dict | None:
+    """The run manifest at `path`; None when it is absent, not JSON, not an
+    object, or has no `stages` object."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):
+        return None
+    if isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict):
+        return manifest
+    return None
+
+
 def _update_manifest(config: PipelineConfig, stage: str, inputs: list[str], outputs: list[str]) -> None:
-    out = Path(config.out_dir)
-    path = out / "manifest.json"
+    path = Path(config.out_dir) / "manifest.json"
     manifest = {"config_hash": config.config_hash(), "seed": config.seed, "stages": {}}
-    if path.exists():
-        previous = json.loads(path.read_text())
-        if previous.get("config_hash") == manifest["config_hash"]:
-            manifest["stages"] = previous.get("stages", {})
+    previous = _read_manifest(path)
+    if previous is not None and previous.get("config_hash") == manifest["config_hash"]:
+        manifest["stages"] = previous["stages"]
     manifest["stages"][stage] = {"inputs": sorted(inputs), "outputs": sorted(outputs)}
     _atomic_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -145,33 +156,12 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
     return names
 
 
-def _table_fits(table: FrequencyTable, config: PipelineConfig) -> bool:
-    """True when `table` holds the config's Q grid and its closed-form centers."""
-    qs = q_grid(config.q_min, config.q_max, config.q_step)
-    if table.qs.shape != qs.shape or not np.allclose(table.qs, qs, rtol=1e-9, atol=0.0):
-        return False
-    beta = 2.0 / (qs + 1.0)
-    alpha = 1.0 - beta / config.tqwt_r
-    centers = alpha**config.tqwt_levels * (2.0 - beta) / (4.0 * alpha) * config.fs
-    return bool(np.allclose(table.centers_hz, centers, rtol=1e-9, atol=0.0))
-
-
-def _q_table(config: PipelineConfig) -> FrequencyTable:
-    """Reuse the cached CSV export if it fits the config; else build and write it."""
-    out = Path(config.out_dir)
-    cache = out / "qtable.csv"
-    if cache.exists():
-        try:
-            table = FrequencyTable.from_csv(cache, config.fs, config.tqwt_levels, config.tqwt_r)
-            if _table_fits(table, config):
-                return table
-        except (KeyError, TypeError, ValueError):
-            pass  # an unreadable cache is rebuilt like a stale one
-    table = build_q_lookup(
-        config.fs, config.tqwt_levels, config.q_min, config.q_max, config.q_step, config.tqwt_r
-    )
-    out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(cache)
+@functools.lru_cache(maxsize=1)
+def _q_table(fs: float, levels: int, q_min: float, q_max: float, q_step: float, r: float) -> FrequencyTable:
+    """The config's Q lookup, built once per process for equal settings; read-only."""
+    table = build_q_lookup(fs, levels, q_min, q_max, q_step, r)
+    for column in (table.qs, table.centers_hz, table.lower3db_hz):
+        column.flags.writeable = False
     return table
 
 
@@ -227,8 +217,9 @@ def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: P
 def stage_preprocess(config: PipelineConfig) -> list[str]:
     """Window-wise adaptive filtering of ECG and PPG; ABP passes through."""
     names = _record_names(config, "raw", "ingest")
-    table = _q_table(config)
+    table = _q_table(config.fs, config.tqwt_levels, config.q_min, config.q_max, config.q_step, config.tqwt_r)
     out = Path(config.out_dir)
+    table.to_csv(out / "qtable.csv")  # an export of the table used; never read back
     with _replaced_tree(out / "pre") as pre:
         for name in names:
             _preprocess_record(config, table, out / "raw" / name, pre / name)
@@ -338,6 +329,21 @@ def stage_train(config: PipelineConfig) -> list[str]:
     return written
 
 
+def _csv_columns(path: Path, columns: tuple[str, ...], parse) -> list[list]:
+    """`columns` of every row of a CSV artifact, each cell through `parse`.
+
+    A missing column or a cell `parse` rejects (a short row's missing cells
+    are None) raises DataError naming `path`.
+    """
+    try:
+        with open(path, newline="") as fh:
+            return [[parse(row[c]) for c in columns] for row in csv.DictReader(fh)]
+    except KeyError as exc:
+        raise DataError(f"{path} has no column {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _models_for_eval(config: PipelineConfig) -> dict[str, TrainedModel]:
     out = Path(config.out_dir)
     if config.pooled:
@@ -348,11 +354,10 @@ def _models_for_eval(config: PipelineConfig) -> dict[str, TrainedModel]:
     index = out / "models" / "index.csv"
     if not index.exists():
         raise StageDependencyError(str(index), "train")
-    models = {}
-    with open(index, newline="") as fh:
-        for row in csv.DictReader(fh):
-            models[row["patient"]] = load_model(out / "models" / row["model_file"])
-    return models
+    return {
+        patient: load_model(out / "models" / model_file)
+        for patient, model_file in _csv_columns(index, ("patient", "model_file"), str)
+    }
 
 
 def stage_eval(config: PipelineConfig) -> str:
@@ -400,12 +405,12 @@ def stage_track(config: PipelineConfig) -> tuple[str, str]:
     pred_path = out / "predictions.csv"
     if not pred_path.exists():
         raise StageDependencyError(str(pred_path), "eval")
-    columns = ("sbp_true", "dbp_true", "sbp_est", "dbp_est")
-    with open(pred_path, newline="") as fh:
-        rows = [[float(row[c]) for c in columns] for row in csv.DictReader(fh)]
+    rows = _csv_columns(pred_path, ("sbp_true", "dbp_true", "sbp_est", "dbp_est"), float)
     if not rows:
         raise DataError("predictions file is empty")
     table = np.array(rows)
+    if not np.isfinite(table).all():
+        raise DataError(f"{pred_path} holds a non-finite pressure")
     csv_path, svg_path = tracking_export(table[:, 2:], table[:, :2], out / "tracking")
     _update_manifest(config, "track", [str(pred_path)], [csv_path, svg_path])
     return csv_path, svg_path
@@ -420,7 +425,9 @@ def stage_report(config: PipelineConfig) -> str:
     manifest_path = out / "manifest.json"
     provenance = ""
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _read_manifest(manifest_path)
+        if manifest is None or not {"config_hash", "seed"} <= manifest.keys():
+            raise DataError(f"{manifest_path} is not a run manifest")
         provenance = (
             f"config hash {manifest['config_hash']}  seed {manifest['seed']}  "
             f"stages {', '.join(sorted(manifest['stages']))}\n"

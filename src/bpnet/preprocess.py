@@ -116,8 +116,6 @@ def select_q(peak: Optional[FundamentalPeak], table: FrequencyTable) -> float:
     Without a detected fundamental the fixed fallback Q = 1.08 applies.
     Ties break toward smaller Q.
     """
-    if len(table) == 0:
-        raise PreprocessError("empty frequency table")
     if peak is None:
         return FALLBACK_Q
     q_max_idx = int(np.argmin(np.abs(table.centers_hz - peak.frequency_hz)))

@@ -337,24 +337,6 @@ class FrequencyTable:
             for q, c, lo in zip(self.qs, self.centers_hz, self.lower3db_hz):
                 writer.writerow([f"{q:.10g}", f"{c:.10g}", f"{lo:.10g}"])
 
-    @classmethod
-    def from_csv(cls, path, fs: float, level: int, r: float = 3.0) -> "FrequencyTable":
-        qs, centers, lows = [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                qs.append(float(row["q"]))
-                centers.append(float(row["center_hz"]))
-                lows.append(float(row["lower3db_hz"]))
-        return cls(np.array(qs), np.array(centers), np.array(lows), fs, level, r)
-
-
-def q_grid(q_min: float, q_max: float, step: float) -> np.ndarray:
-    """The inclusive, ascending Q grid from q_min to q_max in `step` increments."""
-    try:
-        return np.linspace(q_min, q_max, int(round((q_max - q_min) / step)) + 1)
-    except (ValueError, MemoryError) as exc:
-        raise TqwtError(f"cannot build a Q grid from {q_min} to {q_max} in steps of {step}: {exc}") from None
-
 
 def build_q_lookup(
     fs: float,
@@ -369,7 +351,10 @@ def build_q_lookup(
         raise TqwtError(f"need q_min < q_max, got {q_min} >= {q_max}")
     if step <= 0:
         raise TqwtError(f"step must be positive, got {step}")
-    qs = q_grid(q_min, q_max, step)
+    try:
+        qs = np.linspace(q_min, q_max, int(round((q_max - q_min) / step)) + 1)
+    except (ValueError, MemoryError) as exc:
+        raise TqwtError(f"cannot build a Q grid from {q_min} to {q_max} in steps of {step}: {exc}") from None
     centers = np.empty(qs.size)
     lows = np.empty(qs.size)
     for i, q in enumerate(qs):

@@ -419,19 +419,124 @@ def test_track_on_header_only_predictions_exits_2(tmp_path, synth_csv, capsys):
     assert not (out / "tracking.csv").exists()
 
 
-def test_q_table_reused_only_when_it_fits(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("patient,start_index,sbp,sbp_est,dbp_true,dbp_est\np,0,120,121,80,81\n", "no column 'sbp_true'"),
+        ("patient,start_index,sbp_true,sbp_est,dbp_true,dbp_est\np,0,120,high,80,81\n", "could not convert"),
+        ("patient,start_index,sbp_true,sbp_est,dbp_true,dbp_est\np,0,120,nan,80,81\n", "non-finite pressure"),
+    ],
+    ids=["wrong-columns", "non-numeric", "non-finite"],
+)
+def test_track_on_malformed_predictions_exits_2(tmp_path, synth_csv, capsys, text, named):
+    cfg = _write_config(tmp_path, synth_csv)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "predictions.csv").write_text(text)
+    assert main(["track", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "predictions.csv") in err and named in err and "Traceback" not in err
+    assert not (out / "tracking.csv").exists()
+
+
+def test_per_patient_eval_on_malformed_model_index_exits_2(tmp_path, synth_csv, capsys):
+    cfg = _write_config(tmp_path, synth_csv, extra="train.pooled = false\n")
+    for stage in ("ingest", "preprocess", "segment"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    index = tmp_path / "out" / "models" / "index.csv"
+    index.parent.mkdir()
+    index.write_text("patient,file\nrec0,rec0.bpnet\n")
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(index) in err and "no column 'model_file'" in err
+
+
+@pytest.mark.parametrize("text", ["{", "[1, 2]", '{"x": 1}', '{"config_hash": "HASH", "stages": []}'])
+def test_unreadable_manifest_is_replaced(tmp_path, synth_csv, text):
+    from bpnet.config import parse_config
+
+    cfg = _write_config(tmp_path, synth_csv)
+    path = tmp_path / "out" / "manifest.json"
+    path.parent.mkdir()
+    path.write_text(text.replace("HASH", parse_config(cfg.read_text()).config_hash()))
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    manifest = json.loads(path.read_text())
+    assert list(manifest["stages"]) == ["ingest"] and len(manifest["config_hash"]) == 16
+
+
+@pytest.mark.parametrize("text", ["{", "[1, 2]", '{"x": 1}', '{"stages": {}}'])
+def test_report_on_unreadable_manifest_exits_2(tmp_path, synth_csv, capsys, text):
+    cfg = _write_config(tmp_path, synth_csv)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.txt").write_text("== SBP (n=2) ==\n")
+    (out / "manifest.json").write_text(text)
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert f"{out / 'manifest.json'} is not a run manifest" in capsys.readouterr().err
+
+
+def test_eval_constant_estimate_reports_r_as_na(tmp_path, synth_csv, capsys):
+    from bpnet.model import load_model, save_model
+
+    cfg, model_path = _trained_run(tmp_path, synth_csv)
+    trained = load_model(model_path)
+    trained.params.head_w[:, 0] = 0.0  # every SBP estimate is head_b[0]
+    save_model(trained, model_path)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 0
+    sbp = capsys.readouterr().out.split("== DBP")[0]
+    assert "MAE" in sbp and "grade" in sbp and "r n/a" in sbp
+    rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert rows[1].startswith("SBP,") and rows[1].endswith(",") and not rows[2].endswith(",")
+
+
+def test_q_table_memoized_per_settings(tmp_path, monkeypatch):
     from bpnet import pipeline
     from bpnet.config import parse_config
 
-    config = parse_config(f"out.dir = {tmp_path / 'out'}\n")
-    built = pipeline._q_table(config)
-    monkeypatch.setattr(pipeline, "build_q_lookup", lambda *args: pytest.fail("fitting table rebuilt"))
-    assert np.allclose(pipeline._q_table(config).centers_hz, built.centers_hz, rtol=1e-9)
+    def settings(config):
+        return config.fs, config.tqwt_levels, config.q_min, config.q_max, config.q_step, config.tqwt_r
+
+    default = settings(parse_config(""))
+    built = pipeline._q_table(*default)
+    monkeypatch.setattr(pipeline, "build_q_lookup", lambda *args: pytest.fail("equal settings rebuilt"))
+    assert pipeline._q_table(*default) is built
     monkeypatch.undo()
-    stale = parse_config(f"fs = 250\ntqwt.q_max = 1.2\nout.dir = {tmp_path / 'out'}\n")
-    table = pipeline._q_table(stale)
+    for column in (built.qs, built.centers_hz, built.lower3db_hz):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+
+    record = tmp_path / "fast.csv"
+    assert main(["synth", "--out", str(record), "--duration", "40", "--fs", "250"]) == 0
+    cfg = _write_config(tmp_path, record, extra="fs = 250\ntqwt.q_max = 1.2\n")
+    table = pipeline._q_table(*settings(parse_config(cfg.read_text())))
     assert len(table) == 21 and table.centers_hz[0] == pytest.approx(1.626, abs=1e-3)
+    for stage in ("ingest", "preprocess"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
     assert len((tmp_path / "out" / "qtable.csv").read_text().splitlines()) == 1 + 21
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_preprocess_ignores_an_existing_q_table(tmp_path, synth_csv):
+    cfgs, outs = {}, {}
+    for name in ("fresh", "planted"):
+        (tmp_path / name).mkdir()
+        cfgs[name] = _write_config(tmp_path / name, synth_csv)
+        outs[name] = tmp_path / name / "out"
+        assert main(["ingest", "--config", str(cfgs[name])]) == 0
+    assert main(["preprocess", "--config", str(cfgs["fresh"])]) == 0
+    exported = (outs["fresh"] / "qtable.csv").read_text()
+    # Same grid and centres, cutoffs scaled by 1.5: a table only a full rebuild tells apart.
+    lines = exported.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    planted = [lines[0]] + [f"{q},{c},{float(lo) * 1.5:.10g}" for q, c, lo in rows]
+    (outs["planted"] / "qtable.csv").write_text("\n".join(planted) + "\n")
+    assert main(["preprocess", "--config", str(cfgs["planted"])]) == 0
+    assert _tree_bytes(outs["planted"] / "pre") == _tree_bytes(outs["fresh"] / "pre")
+    assert (outs["planted"] / "qtable.csv").read_text() == exported
 
 
 def test_eval_nan_lstm_weight_exits_2(tmp_path, synth_csv, capsys):

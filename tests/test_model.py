@@ -133,8 +133,9 @@ class TestForward:
         _, cache_rev = forward_batch(swapped, x[:, ::-1])
 
         h = params.hidden
-        bi = cache.bi_out[:, 0]  # bi_out is time-major (M, B, 2H)
-        bi_rev = cache_rev.bi_out[:, 0]
+        # The second LSTM's inputs are the time-major (M, B, 2H) bidirectional output.
+        bi = cache.lstm2_cache.inputs.reshape(7, 1, -1)[:, 0]
+        bi_rev = cache_rev.lstm2_cache.inputs.reshape(7, 1, -1)[:, 0]
         assert np.max(np.abs(bi_rev[::-1, h:] - bi[:, :h])) <= 1e-10
         assert np.max(np.abs(bi_rev[::-1, :h] - bi[:, h:])) <= 1e-10
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,12 @@ from bpnet.tqwt import (
     _next_pow2,
     build_q_lookup,
     decompose,
-    q_grid,
     reconstruct,
     subband_frequencies,
 )
 
 # The preprocessing grid's Qs plus the fallback Q (preprocess.FALLBACK_Q).
-STACK_QS = [float(q) for q in q_grid(1.0, 1.4, 0.01)] + [1.08]
+STACK_QS = [float(q) for q in np.linspace(1.0, 1.4, 41)] + [1.08]
 
 
 def _assert_rows_bitwise(stacked: np.ndarray, rows: list[np.ndarray]) -> None:
@@ -131,10 +132,13 @@ def test_lookup_grid_shape_and_consistency(q_table):
 def test_lookup_csv_roundtrip(q_table, tmp_path):
     path = tmp_path / "lookup.csv"
     q_table.to_csv(path)
-    loaded = FrequencyTable.from_csv(path, fs=125.0, level=10)
-    assert np.allclose(loaded.qs, q_table.qs)
-    assert np.allclose(loaded.centers_hz, q_table.centers_hz, rtol=1e-9)
-    assert np.allclose(loaded.lower3db_hz, q_table.lower3db_hz, rtol=1e-9)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["q", "center_hz", "lower3db_hz"]
+    qs, centers, lows = (np.array([float(row[c]) for row in rows]) for c in rows[0])
+    assert np.allclose(qs, q_table.qs)
+    assert np.allclose(centers, q_table.centers_hz, rtol=1e-9)
+    assert np.allclose(lows, q_table.lower3db_hz, rtol=1e-9)
 
 
 def test_failed_csv_write_keeps_previous_table(q_table, tmp_path, full_disk):
@@ -201,7 +205,7 @@ def test_min_signal_length_with_no_lowpass_band_rejected():
 @pytest.mark.parametrize("step", [1e-300, 1e-18])  # past numpy's size limit; past any address space
 def test_unbuildable_q_grid_rejected(step):
     with pytest.raises(TqwtError, match="cannot build a Q grid"):
-        q_grid(1.0, 1.4, step)
+        build_q_lookup(125.0, 10, 1.0, 1.4, step)
 
 
 def test_invalid_params_rejected():
