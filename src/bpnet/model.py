@@ -17,10 +17,17 @@ are time-major, (M, B, .), inside the model.  Backpropagation through time
 keeps only the recurrent product in the time loop and gets input and weight
 gradients from one matrix product over all steps (Appleyard, Kocisky &
 Blunsom, "Optimizing Performance of Recurrent Neural Networks on GPUs", 2016).
+
+A training step lives in one caller-owned buffer, a `StepArena`: the forward
+caches, the backward scratch and every gradient are views into it, so a step
+allocates no activation arrays (as cuDNN's workspace and reserve space do;
+Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
+Inference runs the same LSTM time loop without the backward cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -30,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from bpnet.atomic import atomic_open
-from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit
+from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit, Sequences
 
 DENSE_UNITS = 128
 HIDDEN_UNITS = 128
@@ -84,6 +91,10 @@ def param_shapes(input_dim: int, dense_units: int, hidden: int, output_dim: int)
     return shapes + [("head_w", (hidden, output_dim)), ("head_b", (output_dim,))]
 
 
+def param_count(dims: tuple[int, int, int, int]) -> int:
+    return sum(math.prod(shape) for _, shape in param_shapes(*dims))
+
+
 class ModelParams:
     """Every weight as a named view into one contiguous float64 vector.
 
@@ -96,7 +107,7 @@ class ModelParams:
     def __init__(self, dims: tuple[int, int, int, int], flat: Optional[np.ndarray] = None):
         self.dims = tuple(dims)
         shapes = param_shapes(*self.dims)
-        self.flat = np.zeros(sum(math.prod(shape) for _, shape in shapes)) if flat is None else flat
+        self.flat = np.zeros(param_count(self.dims)) if flat is None else flat
         views = {}
         offset = 0
         for name, shape in shapes:
@@ -180,6 +191,78 @@ def init_params(
     return params
 
 
+def _extent(regions: list[tuple[str, tuple]]) -> int:
+    """Elements `regions` take end to end, each rounded up to 64 bytes."""
+    return sum(-(-math.prod(shape) // 8) * 8 for _, shape in regions)
+
+
+def _carve(buf: np.ndarray, regions: list[tuple[str, tuple]]) -> dict[str, np.ndarray]:
+    """Views of `buf` for (name, shape) regions laid end to end, as `_extent` counts them."""
+    views, at = {}, 0
+    for name, shape in regions:
+        n = math.prod(shape)
+        views[name] = buf[at : at + n].reshape(shape)
+        at += -(-n // 8) * 8
+    return views
+
+
+_CACHE_FIELDS = ("gates", "cells", "tanh_c", "hidden")
+
+
+def _step_regions(dims: tuple, b: int, m: int) -> list[tuple[str, tuple]]:
+    """What one training step of b sequences of m steps keeps, in arena order."""
+    d_in, units, hidden, out = dims
+    mb, gates = m * b, 4 * hidden
+    regions = [
+        ("grads", (param_count(dims),)),  # first, so the gradient vector never moves
+        ("x", (mb, d_in)),               # time-major input rows
+        ("dense", (mb, units)),          # ReLU output: the forward LSTM's inputs
+        ("rev", (m, b, units)),          # the same, time-reversed: the backward LSTM's inputs
+        ("bi", (m, b, 2 * hidden)),      # bidirectional output: the second LSTM's inputs
+    ]
+    for cell in ("fw", "bw", "lstm2"):
+        regions += [(f"{cell}.gates", (m, b, gates))]
+        regions += [(f"{cell}.{name}", (m, b, hidden)) for name in _CACHE_FIELDS[1:]]
+    return regions + [
+        ("head", (m, b, out)),
+        ("outputs", (b, m, out)),
+        # Backward scratch, used by one layer at a time; `tmp` also holds the
+        # forward's per-step recurrent product.
+        ("coef", (m, b, gates)),
+        ("dc_dh", (m, b, hidden)),
+        ("tmp", (b, gates)),
+        # Each layer's input gradient.
+        ("d_h2", (m, b, hidden)),
+        ("d_bi", (m, b, 2 * hidden)),
+        ("d_dense", (m, b, units)),
+        ("d_bw", (m, b, units)),
+    ]
+
+
+class StepArena:
+    """One float64 buffer holding a training step for up to `batch` sequences of `m` steps.
+
+    `forward_batch` carves the input rows, the dense activations, the three
+    LSTM caches and the outputs from it; `backward_batch` writes the gradient
+    vector (``grads``), each layer's input gradient and its scratch into it
+    with ``out=``, so nothing is zeroed.  A smaller batch takes the leading
+    part of the buffer.  A cache, its outputs and its gradients stay valid
+    until the next `forward_batch` on the same arena; a second
+    `backward_batch` on one cache rewrites the gradients.
+    """
+
+    def __init__(self, dims: tuple[int, int, int, int], batch: int, m: int):
+        self.dims = tuple(dims)
+        self.buf = np.empty(_extent(_step_regions(self.dims, batch, m)))
+        self.grads = ModelParams(self.dims, self.buf[: param_count(self.dims)])
+
+    def views(self, b: int, m: int) -> dict[str, np.ndarray]:
+        regions = _step_regions(self.dims, b, m)
+        if _extent(regions) > self.buf.size:
+            raise ModelError(f"a batch of {b} sequences of {m} steps does not fit this arena")
+        return _carve(self.buf, regions)
+
+
 @dataclass
 class LstmCache:
     inputs: np.ndarray  # (M*B, Din) time-major rows
@@ -189,109 +272,195 @@ class LstmCache:
     hidden: np.ndarray  # (M, B, H)
 
 
-def lstm_forward(inputs: np.ndarray, w: LstmWeights, layer: str = "lstm") -> tuple[np.ndarray, LstmCache]:
-    """Run one LSTM direction over time-major (M, B, Din) inputs."""
-    M, B, d_in = inputs.shape
-    H = w.hidden
-    x2 = inputs.reshape(M * B, d_in)
-    gates = (x2 @ w.wx + w.b).reshape(M, B, 4 * H)  # activated in place, step by step
-    cells = np.empty((M, B, H))
-    tanh_c = np.empty((M, B, H))
-    hidden = np.empty((M, B, H))
-    # sigmoid(z) = 0.5 tanh(z / 2) + 0.5 on the i, f, o blocks; tanh on g.
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+@functools.lru_cache(maxsize=4)
+def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(z) = 0.5 tanh(z / 2) + 0.5 on the i, f, o blocks; tanh on g: (scale, shift)."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
     shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
+def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tmp) -> None:
+    """One LSTM direction over time-major rows `x2` (M*B, Din).
+
+    The input product of every step goes into `gates` (M, B, 4H) at once;
+    the time loop activates it in place.  Step t writes ``hidden[t]``,
+    ``cells[t % len(cells)]`` and ``tanh_c[t % len(tanh_c)]``: training keeps
+    every step for the backward pass, inference passes two cell rows and one
+    tanh row.  `tmp` is (B, 4H) scratch.
+    """
+    M, B, _ = gates.shape
+    H = w.hidden
+    np.matmul(x2, w.wx, out=gates.reshape(M * B, 4 * H))
+    gates += w.b
+    scale, shift = _gate_affine(H)
     for t in range(M):
-        z = gates[t]
+        z, c = gates[t], cells[t % len(cells)]
         if t:
-            z += hidden[t - 1] @ w.wh
+            np.matmul(hidden[t - 1], w.wh, out=tmp)
+            z += tmp
         z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=cells[t])
+        np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=c)
         if t:
-            cells[t] += z[:, H : 2 * H] * cells[t - 1]
-        np.tanh(cells[t], out=tanh_c[t])
-        np.multiply(z[:, 3 * H :], tanh_c[t], out=hidden[t])
+            np.multiply(z[:, H : 2 * H], cells[(t - 1) % len(cells)], out=tmp[:, :H])
+            c += tmp[:, :H]
+        tc = tanh_c[t % len(tanh_c)]
+        np.tanh(c, out=tc)
+        np.multiply(z[:, 3 * H :], tc, out=hidden[t])
     finite = np.isfinite(hidden).reshape(M, -1).all(axis=1)
     if not finite.all():
         raise NonFiniteActivation(int(np.argmin(finite)), layer)
-    return hidden, LstmCache(x2, gates, cells, tanh_c, hidden)
 
 
-def lstm_backward(w: LstmWeights, cache: LstmCache, d_hidden: np.ndarray, grads: LstmWeights) -> np.ndarray:
+def lstm_forward(
+    inputs: np.ndarray, w: LstmWeights, layer: str = "lstm", out=None, tmp=None
+) -> tuple[np.ndarray, LstmCache]:
+    """Run one LSTM direction over time-major (M, B, Din) inputs, keeping its backward cache.
+
+    `out` holds the cache's (gates, cells, tanh_c, hidden) buffers and `tmp`
+    (B, 4H) scratch; both are allocated when not given.
+    """
+    M, B, d_in = inputs.shape
+    H = w.hidden
+    if out is None:
+        out = (np.empty((M, B, 4 * H)), *np.empty((3, M, B, H)))
+    if tmp is None:
+        tmp = np.empty((B, 4 * H))
+    cache = LstmCache(inputs.reshape(M * B, d_in), *out)
+    _lstm_layer(cache.inputs, w, layer, cache.gates, cache.cells, cache.tanh_c, cache.hidden, tmp)
+    return cache.hidden, cache
+
+
+def lstm_backward(
+    w: LstmWeights, cache: LstmCache, d_hidden: np.ndarray, grads: LstmWeights, scratch, d_inputs: np.ndarray
+) -> np.ndarray:
     """BPTT through one direction for time-major (M, B, H) output gradients.
 
-    Writes the weight gradients into `grads`; returns d_inputs (M, B, Din).
+    Writes the weight gradients into `grads` and the input gradients into
+    `d_inputs` (M, B, Din), which it returns.  `scratch` is (coef (M, B, 4H),
+    dc_dh (M, B, H), rows (B, 4H)); dz is written over coef.
     """
     M, B, H = d_hidden.shape
+    coef, dc_dh, rows = scratch
     i, f, g, o = np.split(cache.gates, 4, axis=2)
     # dz = [dc g i(1-i) | dc c_prev f(1-f) | dc i(1-g^2) | dh tanh(c) o(1-o)];
-    # every factor beside dc and dh is known before the loop.
-    coef = np.empty_like(cache.gates)
+    # every factor beside dc and dh is known before the loop.  Two passes over
+    # the whole block give i(1-i), f(1-f) and o(1-o); the g block is rewritten.
     c_i, c_f, c_g, c_o = np.split(coef, 4, axis=2)
-    np.multiply(g, i * (1.0 - i), out=c_i)
+    np.subtract(1.0, cache.gates, out=coef)
+    coef *= cache.gates
+    c_i *= g
     c_f[0] = 0.0
-    np.multiply(cache.cells[:-1], f[1:] * (1.0 - f[1:]), out=c_f[1:])
-    np.multiply(i, 1.0 - g * g, out=c_g)
-    np.multiply(cache.tanh_c, o * (1.0 - o), out=c_o)
-    dc_dh = o * (1.0 - cache.tanh_c * cache.tanh_c)
+    c_f[1:] *= cache.cells[:-1]
+    np.multiply(g, g, out=c_g)
+    np.subtract(1.0, c_g, out=c_g)
+    c_g *= i
+    c_o *= cache.tanh_c
+    np.multiply(cache.tanh_c, cache.tanh_c, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
     coef4 = coef.reshape(M, B, 4, H)
 
-    dz = np.empty_like(coef)
-    dz4 = dz.reshape(M, B, 4, H)
+    dh, dc, dh_next, dc_next = rows.reshape(4, B, H)
+    dh_next.fill(0.0)  # the last step adds a zero carry, as +0.0 turns -0.0 into +0.0
+    dc_next.fill(0.0)
     wh_t = w.wh.T
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
     for t in range(M - 1, -1, -1):
-        dh = d_hidden[t] + dh_next
-        dc = dc_next + dh * dc_dh[t]
-        np.multiply(dc[:, None, :], coef4[t, :, :3], out=dz4[t, :, :3])
-        np.multiply(dh, coef4[t, :, 3], out=dz4[t, :, 3])
+        np.add(d_hidden[t], dh_next, out=dh)
+        np.multiply(dh, dc_dh[t], out=dc)
+        dc += dc_next
+        np.multiply(dc[:, None, :], coef4[t, :, :3], out=coef4[t, :, :3])
+        np.multiply(dh, coef4[t, :, 3], out=coef4[t, :, 3])
         if t:
-            dh_next = dz[t] @ wh_t
-            dc_next = dc * f[t]
+            np.matmul(coef[t], wh_t, out=dh_next)
+            np.multiply(dc, f[t], out=dc_next)
 
-    dz2 = dz.reshape(M * B, 4 * H)
+    dz2 = coef.reshape(M * B, 4 * H)
     np.matmul(cache.inputs.T, dz2, out=grads.wx)
     np.matmul(cache.hidden[:-1].reshape(-1, H).T, dz2[B:], out=grads.wh)
     np.sum(dz2, axis=0, out=grads.b)
-    return (dz2 @ w.wx.T).reshape(M, B, -1)
+    np.matmul(dz2, w.wx.T, out=d_inputs.reshape(M * B, -1))
+    return d_inputs
 
 
 @dataclass
 class ForwardCache:
     x: np.ndarray          # (M*B, input_dim) time-major rows
-    dense_pre: np.ndarray  # (M*B, dense_units)
+    dense: np.ndarray      # (M*B, dense_units) after the ReLU
     fw_cache: LstmCache
     bw_cache: LstmCache    # runs over the time-reversed sequence
     lstm2_cache: LstmCache
     outputs: np.ndarray    # (B, M, out)
+    arena: StepArena
+    views: dict            # the step's views into the arena
 
 
-def forward_batch(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass over a (B, M, input_dim) batch; outputs are (B, M, out)."""
+def _check_inputs(params: ModelParams, x: np.ndarray) -> None:
     if x.ndim != 3 or x.shape[2] != params.input_dim:
         raise ModelError(f"expected (B, M, {params.input_dim}) input, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ModelError("non-finite input features")
+
+
+def _dense_relu(params: ModelParams, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.matmul(x2, params.dense_w, out=out)
+    out += params.dense_b
+    return np.maximum(out, 0.0, out=out)
+
+
+def _head(params: ModelParams, h2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # Stacked (M, B, H) @ (H, out): one (M*B, H) product would change the bits.
+    np.matmul(h2, params.head_w, out=out)
+    out += params.head_b
+    return out
+
+
+def forward_batch(
+    params: ModelParams, x: np.ndarray, arena: Optional[StepArena] = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass over a (B, M, input_dim) batch; outputs are (B, M, out).
+
+    The outputs and the cache are views into `arena`, valid until the next
+    forward_batch on it; without one, the call allocates its own.
+    """
+    _check_inputs(params, x)
     B, M, _ = x.shape
-    x2 = x.transpose(1, 0, 2).reshape(M * B, -1)
-    dense_pre = x2 @ params.dense_w + params.dense_b
-    dense_out = np.maximum(dense_pre, 0.0).reshape(M, B, -1)
-    h_fw, fw_cache = lstm_forward(dense_out, params.fw, "forward lstm")
-    h_bw_rev, bw_cache = lstm_forward(dense_out[::-1], params.bw, "backward lstm")
-    bi_out = np.concatenate([h_fw, h_bw_rev[::-1]], axis=2)
-    h2, lstm2_cache = lstm_forward(bi_out, params.lstm2, "second lstm")
-    outputs = np.ascontiguousarray((h2 @ params.head_w + params.head_b).transpose(1, 0, 2))
-    return outputs, ForwardCache(x2, dense_pre, fw_cache, bw_cache, lstm2_cache, outputs)
+    if arena is None:
+        arena = StepArena(params.dims, B, M)
+    elif arena.dims != params.dims:
+        raise ModelError(f"arena dims {arena.dims} do not match the parameters' {params.dims}")
+    v = arena.views(B, M)
+    H = params.hidden
+    x2 = v["x"]
+    np.copyto(x2.reshape(M, B, -1), x.transpose(1, 0, 2))
+    if not np.isfinite(x2).all():
+        raise ModelError("non-finite input features")
+    dense = _dense_relu(params, x2, v["dense"])
+
+    def buffers(cell):
+        return [v[f"{cell}.{name}"] for name in _CACHE_FIELDS]
+
+    h_fw, fw_cache = lstm_forward(dense.reshape(M, B, -1), params.fw, "forward lstm", buffers("fw"), v["tmp"])
+    np.copyto(v["rev"], dense.reshape(M, B, -1)[::-1])
+    h_bw_rev, bw_cache = lstm_forward(v["rev"], params.bw, "backward lstm", buffers("bw"), v["tmp"])
+    bi = v["bi"]
+    bi[:, :, :H] = h_fw
+    bi[:, :, H:] = h_bw_rev[::-1]
+    h2, lstm2_cache = lstm_forward(bi, params.lstm2, "second lstm", buffers("lstm2"), v["tmp"])
+    outputs = v["outputs"]
+    np.copyto(outputs, _head(params, h2, v["head"]).transpose(1, 0, 2))
+    return outputs, ForwardCache(x2, dense, fw_cache, bw_cache, lstm2_cache, outputs, arena, v)
 
 
 def backward_batch(
     params: ModelParams, cache: ForwardCache, targets: np.ndarray
 ) -> tuple[ModelParams, float]:
-    """Exact gradients of the mean squared error over all steps and outputs."""
+    """Exact gradients of the mean squared error over all steps and outputs.
+
+    The gradients are the cache's arena's ``grads``, rewritten on each call.
+    """
     y = cache.outputs
     if targets.shape != y.shape:
         raise ModelError(f"targets shape {targets.shape} does not match outputs {y.shape}")
@@ -299,18 +468,22 @@ def backward_batch(
     loss = float(np.mean(err * err))
     B, M, out_dim = y.shape
     H = params.hidden
-    grads = params.zeros_like()
+    v = cache.views
+    grads = cache.arena.grads
 
     d_y = (2.0 * err / err.size).transpose(1, 0, 2).reshape(M * B, out_dim)
     np.matmul(cache.lstm2_cache.hidden.reshape(M * B, H).T, d_y, out=grads.head_w)
     np.sum(d_y, axis=0, out=grads.head_b)
-    d_h2 = (d_y @ params.head_w.T).reshape(M, B, H)
+    d_h2 = v["d_h2"]
+    np.matmul(d_y, params.head_w.T, out=d_h2.reshape(M * B, H))
 
-    d_bi = lstm_backward(params.lstm2, cache.lstm2_cache, d_h2, grads.lstm2)
-    d_dense = lstm_backward(params.fw, cache.fw_cache, d_bi[:, :, :H], grads.fw)
-    d_dense += lstm_backward(params.bw, cache.bw_cache, d_bi[::-1, :, H:], grads.bw)[::-1]
+    scratch = (v["coef"], v["dc_dh"], v["tmp"])
+    d_bi = lstm_backward(params.lstm2, cache.lstm2_cache, d_h2, grads.lstm2, scratch, v["d_bi"])
+    d_dense = lstm_backward(params.fw, cache.fw_cache, d_bi[:, :, :H], grads.fw, scratch, v["d_dense"])
+    d_dense += lstm_backward(params.bw, cache.bw_cache, d_bi[::-1, :, H:], grads.bw, scratch, v["d_bw"])[::-1]
 
-    d_pre = d_dense.reshape(M * B, -1) * (cache.dense_pre > 0)
+    d_pre = d_dense.reshape(M * B, -1)
+    d_pre *= cache.dense > 0
     np.matmul(cache.x.T, d_pre, out=grads.dense_w)
     np.sum(d_pre, axis=0, out=grads.dense_b)
     return grads, loss
@@ -323,14 +496,16 @@ def gradient_norm(grads: ModelParams) -> float:
 def clip_gradient_norm(grads: ModelParams, cap: float) -> ModelParams:
     """Scale all gradients by cap/norm when the global L2 norm exceeds cap.
 
-    Returns `grads` itself when no scaling is needed, else a new object.
+    Returns `grads` itself when no scaling is needed; otherwise scales its
+    buffer in place and returns a new object over that buffer.
     """
     if cap <= 0:
         raise ModelError(f"cap must be positive, got {cap}")
     norm = gradient_norm(grads)
     if norm <= cap:
         return grads
-    return ModelParams(grads.dims, grads.flat * (cap / norm))
+    grads.flat *= cap / norm
+    return ModelParams(grads.dims, grads.flat)
 
 
 @dataclass
@@ -347,44 +522,115 @@ class AdamState:
         return cls(params.zeros_like(), params.zeros_like())
 
 
+ADAM_CHUNK = 32768  # elements per pass of the update: 256 KB per operand, L2-sized
+
+
 def adam_step(
     params: ModelParams, grads: ModelParams, state: AdamState, lr: float = 0.001
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update, in place; returns the same objects.
 
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), through one temporary vector.
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), ADAM_CHUNK elements at a time
+    through one temporary chunk.
     """
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
-    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
-    tmp = np.empty_like(p)
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=tmp)
-    v *= state.beta2
-    np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - state.beta2
-    v += tmp
-    np.divide(v, bc2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    np.divide(m, tmp, out=tmp)
-    tmp *= lr / bc1
-    p -= tmp
+    n = params.flat.size
+    chunk = np.empty(min(n, ADAM_CHUNK))
+    for lo in range(0, n, ADAM_CHUNK):
+        p, g = params.flat[lo : lo + ADAM_CHUNK], grads.flat[lo : lo + ADAM_CHUNK]
+        m, v = state.m.flat[lo : lo + ADAM_CHUNK], state.v.flat[lo : lo + ADAM_CHUNK]
+        tmp = chunk[: p.size]
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=tmp)
+        v *= state.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - state.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        p -= tmp
     return params, state
 
 
 INFER_CHUNK = 256  # sequences per inference forward, to bound activation memory
 
 
-def _outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """forward_batch outputs, INFER_CHUNK sequences at a time."""
-    chunks = range(0, x.shape[0], INFER_CHUNK)
-    return np.concatenate([forward_batch(params, x[lo : lo + INFER_CHUNK])[0] for lo in chunks])
+def _infer_regions(dims: tuple, n: int, m: int) -> list[tuple[str, tuple]]:
+    """What an inference forward over n sequences of m steps keeps."""
+    d_in, units, hidden, out = dims
+    mn = m * n
+    return [
+        ("x", (mn * max(d_in, 4 * hidden),)),    # input rows, then each layer's gate block
+        ("dense", (mn * max(units, hidden),)),  # ReLU output, then the second LSTM's hidden states
+        ("bi", (m, n, 2 * hidden)),
+        ("cells", (2, n, hidden)),
+        ("tanh_c", (1, n, hidden)),
+        ("tmp", (n * max(4 * hidden, units),)),
+        ("head", (m, n, out)),
+    ]
 
 
-def _mean_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum((_outputs(params, x) - y) ** 2)) / y.size
+def _infer_chunk(params: ModelParams, v: dict, m: int, n: int) -> np.ndarray:
+    """Time-major outputs (M, n, out) of the input rows in ``v["x"]``, keeping no backward cache.
+
+    The arithmetic is forward_batch's, in the same order, so the bits match.
+    """
+    d_in, units, hidden, _ = params.dims
+    mn = m * n
+    dense = _dense_relu(params, v["x"][: mn * d_in].reshape(mn, d_in), v["dense"][: mn * units].reshape(mn, units))
+    gates = v["x"][: mn * 4 * hidden].reshape(m, n, 4 * hidden)  # the input rows are dead
+    tmp = v["tmp"][: n * 4 * hidden].reshape(n, 4 * hidden)
+    bi = v["bi"]
+    _lstm_layer(dense, params.fw, "forward lstm", gates, v["cells"], v["tanh_c"], bi[:, :, :hidden], tmp)
+    # Reverse the steps in place for the backward direction's input product.
+    dense3, row = dense.reshape(m, n, units), v["tmp"][: n * units].reshape(n, units)
+    for t in range(m // 2):
+        np.copyto(row, dense3[t])
+        np.copyto(dense3[t], dense3[m - 1 - t])
+        np.copyto(dense3[m - 1 - t], row)
+    _lstm_layer(dense, params.bw, "backward lstm", gates, v["cells"], v["tanh_c"], bi[::-1, :, hidden:], tmp)
+    h2 = v["dense"][: mn * hidden].reshape(m, n, hidden)  # the dense activations are dead
+    _lstm_layer(bi.reshape(mn, 2 * hidden), params.lstm2, "second lstm", gates, v["cells"], v["tanh_c"], h2, tmp)
+    return _head(params, h2, v["head"])
+
+
+def _outputs(params: ModelParams, x) -> np.ndarray:
+    """forward_batch outputs (N, M, out) for (N, M, input_dim) inputs or a Sequences.
+
+    Runs INFER_CHUNK sequences at a time through one buffer, gathering each
+    chunk time-major straight into it; the layers keep no backward cache.
+    """
+    if isinstance(x, Sequences):
+        n, m, rows = len(x), x.m, x.rows()
+    else:
+        _check_inputs(params, x)
+        n, m = x.shape[:2]
+    d_in = params.input_dim
+    buf = np.empty(_extent(_infer_regions(params.dims, min(n, INFER_CHUNK), m)))
+    outputs = np.empty((n, m, params.dims[3]))
+    for lo in range(0, n, INFER_CHUNK):
+        b = min(INFER_CHUNK, n - lo)
+        v = _carve(buf, _infer_regions(params.dims, b, m))
+        xt = v["x"][: m * b * d_in].reshape(m, b, d_in)
+        if isinstance(x, Sequences):
+            # Row indices are in range (load_dataset checks them); "clip" writes unbuffered.
+            np.take(x.vectors, rows[lo : lo + b].T, axis=0, out=xt, mode="clip")
+        else:
+            np.copyto(xt, x[lo : lo + b].transpose(1, 0, 2))
+        if not np.isfinite(xt).all():
+            raise ModelError("non-finite input features")
+        np.copyto(outputs[lo : lo + b], _infer_chunk(params, v, m, b).transpose(1, 0, 2))
+    return outputs
+
+
+def _mean_loss(params: ModelParams, sequences: Sequences) -> float:
+    y = sequences.target_array()
+    return float(np.sum((_outputs(params, sequences) - y) ** 2)) / y.size
 
 
 def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, TrainHistory]:
@@ -392,12 +638,12 @@ def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, Trai
 
     Weights start from ``init_params(config.seed)``.  Batches reshuffle each
     epoch under the seeded generator and are gathered from the shared row
-    table one at a time; the parameters with the best validation MSE are
-    returned together with the per-epoch loss history.
+    table one at a time; every step runs in one StepArena.  The parameters
+    with the best validation MSE are returned together with the per-epoch
+    loss history.
     """
     if not dataset.train or not dataset.validation:
         raise ModelError("train and validation partitions must be non-empty")
-    x_val, y_val = dataset.validation.input_array(), dataset.validation.target_array()
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config.seed, input_dim=dataset.train.vectors.shape[1])
@@ -408,13 +654,14 @@ def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, Trai
     since_best = 0
 
     n = len(dataset.train)
+    arena = StepArena(params.dims, min(n, config.batch_size), dataset.train.m)
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for bi, lo in enumerate(range(0, n, config.batch_size)):
             batch = dataset.train[order[lo : lo + config.batch_size]]
             try:
-                outputs, cache = forward_batch(params, batch.input_array())
+                outputs, cache = forward_batch(params, batch.input_array(), arena)
                 grads, loss = backward_batch(params, cache, batch.target_array())
             except NonFiniteActivation as exc:
                 raise TrainingDiverged(epoch, bi) from exc
@@ -425,7 +672,7 @@ def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, Trai
             epoch_losses.append(loss)
         history.train_loss.append(float(np.mean(epoch_losses)))
 
-        val = _mean_loss(params, x_val, y_val)
+        val = _mean_loss(params, dataset.validation)
         if not np.isfinite(val):
             raise TrainingDiverged(epoch, -1)
         history.val_loss.append(val)
@@ -491,7 +738,7 @@ def load_model(path) -> TrainedModel:
     _, m, *dims, ecg_mean, ecg_std, ppg_mean, ppg_std = MODEL_HEADER.unpack_from(data)
     if m < 1 or min(dims) < 1:
         raise ModelError(f"model dimensions must be positive, got M={m}, dims {dims}")
-    count = sum(math.prod(shape) for _, shape in param_shapes(*dims))
+    count = param_count(dims)
     payload = len(data) - MODEL_HEADER.size
     if payload != 8 * count:
         raise ModelError(f"model payload is {payload} bytes, its dims declare {8 * count}")

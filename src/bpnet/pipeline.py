@@ -344,26 +344,41 @@ def _csv_columns(path: Path, columns: tuple[str, ...], parse) -> list[list]:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _models_for_eval(config: PipelineConfig) -> dict[str, TrainedModel]:
+def _models_for_eval(config: PipelineConfig, split: DatasetSplit) -> dict[str, TrainedModel]:
+    """The trained models by patient ('' for the pooled one).
+
+    A model whose channel statistics are not exactly the dataset's was trained
+    on another dataset (re-segmented since, or a new split) and raises DataError.
+    """
     out = Path(config.out_dir)
     if config.pooled:
         path = out / "model.bpnet"
         if not path.exists():
             raise StageDependencyError(str(path), "train")
-        return {"": load_model(path)}
-    index = out / "models" / "index.csv"
-    if not index.exists():
-        raise StageDependencyError(str(index), "train")
-    return {
-        patient: load_model(out / "models" / model_file)
-        for patient, model_file in _csv_columns(index, ("patient", "model_file"), str)
-    }
+        paths = {"": path}
+    else:
+        index = out / "models" / "index.csv"
+        if not index.exists():
+            raise StageDependencyError(str(index), "train")
+        paths = {
+            patient: out / "models" / model_file
+            for patient, model_file in _csv_columns(index, ("patient", "model_file"), str)
+        }
+    models = {}
+    for key, path in paths.items():
+        models[key] = load_model(path)
+        if models[key].stats != split.stats:
+            raise DataError(
+                f"{path} was trained on another dataset (its channel statistics differ from "
+                f"{out / 'dataset.bpseq'}); run train again"
+            )
+    return models
 
 
 def stage_eval(config: PipelineConfig) -> str:
     """Final-step predictions on the test split plus the standards report."""
     split = _dataset(config)
-    models = _models_for_eval(config)
+    models = _models_for_eval(config, split)
     out = Path(config.out_dir)
 
     test = split.test[np.lexsort((split.test.start, split.test.patient))]

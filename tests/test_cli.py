@@ -146,6 +146,22 @@ def test_eval_on_truncated_model_exits_2(tmp_path, synth_csv, capsys):
     assert "payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pooled, model_file", [("true", "model.bpnet"), ("false", "models/rec0.bpnet")])
+def test_eval_refuses_model_trained_on_another_dataset(tmp_path, synth_csv, capsys, pooled, model_file):
+    cfg = _write_config(tmp_path, synth_csv, extra=f"train.pooled = {pooled}\n")
+    for stage in ("ingest", "preprocess", "segment", "train"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    # A new split re-segments the data; the trained model no longer fits it.
+    cfg.write_text(cfg.read_text() + "split.train = 0.6\nsplit.validation = 0.2\nsplit.test = 0.2\n")
+    for stage in ("ingest", "preprocess", "segment"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out" / model_file) in err and "run train again" in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
 def test_eval_non_finite_estimate_exits_2(tmp_path, synth_csv, capsys):
     from bpnet.model import load_model, save_model
 

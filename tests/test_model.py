@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bpnet.model import (
+    ADAM_CHUNK,
+    INFER_CHUNK,
     AdamState,
     LstmWeights,
     ModelError,
     ModelParams,
     NonFiniteActivation,
+    StepArena,
     TrainConfig,
     TrainedModel,
+    _outputs,
     adam_step,
     backward_batch,
     clip_gradient_norm,
@@ -259,6 +264,15 @@ class TestClip:
         cos = dot / (gradient_norm(grads) * gradient_norm(clipped))
         assert cos == pytest.approx(1.0, abs=1e-12)
 
+    def test_scales_in_place_into_a_new_object(self):
+        grads = _tiny_params(seed=37)
+        before = grads.flat.copy()
+        norm = gradient_norm(grads)
+        clipped = clip_gradient_norm(grads, 0.5 * norm)
+        assert clipped is not grads
+        assert clipped.flat is grads.flat
+        assert _same_bits(grads.flat, before * (0.5 * norm / norm))
+
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
@@ -300,6 +314,33 @@ class TestAdam:
             np.testing.assert_allclose(state.m.flat, m, rtol=0, atol=1e-14)
             np.testing.assert_allclose(state.v.flat, v, rtol=0, atol=1e-14)
 
+    def test_chunked_update_equals_whole_vector_operations(self, rng):
+        dims = (764, 125, 4, 2)  # 100,003 parameters: three chunk boundaries and a short last chunk
+        params = ModelParams(dims, rng.standard_normal(100_003))
+        grads = ModelParams(dims, rng.standard_normal(100_003))
+        state = AdamState(ModelParams(dims, rng.standard_normal(100_003)), ModelParams(dims, rng.random(100_003)), step=4)
+        assert params.count // ADAM_CHUNK == 3 and params.count % ADAM_CHUNK
+        p, g, m, v = params.flat.copy(), grads.flat, state.m.flat.copy(), state.v.flat.copy()
+        lr, b1, b2, eps = 0.003, state.beta1, state.beta2, state.eps
+        adam_step(params, grads, state, lr)
+        # The unchunked sequence, operation for operation.
+        bc1, bc2 = 1.0 - b1**5, 1.0 - b2**5
+        tmp = np.empty_like(p)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        p -= tmp
+        assert _same_bits(params.flat, p)
+        assert _same_bits(state.m.flat, m) and _same_bits(state.v.flat, v)
+
     def test_deterministic_trajectories(self, rng):
         x = rng.standard_normal((2, 3, 5))
         y = rng.standard_normal((2, 3, 2))
@@ -316,6 +357,87 @@ class TestAdam:
         a, b = run(), run()
         for (_, xa), (_, xb) in zip(a.arrays(), b.arrays()):
             assert np.array_equal(xa, xb)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStepArena:
+    def test_smaller_batches_through_one_arena_match_fresh_calls(self, rng):
+        params = init_params(30)
+        arena = StepArena(params.dims, 32, 10)
+        for b in (1, 9, 17, 32):
+            x = rng.standard_normal((b, 10, FEATURE_DIM))
+            y = 100.0 + 10.0 * rng.standard_normal((b, 10, 2))
+            out, cache = forward_batch(params, x, arena)
+            grads, loss = backward_batch(params, cache, y)
+            ref_out, ref_cache = forward_batch(params, x)
+            ref_grads, ref_loss = backward_batch(params, ref_cache, y)
+            assert _same_bits(out, ref_out), b
+            assert loss == ref_loss, b
+            assert _same_bits(grads.flat, ref_grads.flat), b
+            assert np.shares_memory(grads.flat, arena.buf) and np.shares_memory(out, arena.buf)
+
+    def test_batch_larger_than_arena_rejected(self, rng):
+        params = _tiny_params(seed=31)
+        arena = StepArena(params.dims, 4, 3)
+        with pytest.raises(ModelError, match="does not fit"):
+            forward_batch(params, rng.standard_normal((5, 3, 5)), arena)
+
+    def test_warm_step_allocates_under_1_mb(self, rng):
+        params = init_params(32)
+        state = AdamState.for_params(params)
+        arena = StepArena(params.dims, 32, 10)
+        x = rng.standard_normal((32, 10, FEATURE_DIM))
+        y = 100.0 + 10.0 * rng.standard_normal((32, 10, 2))
+
+        def step():
+            _, cache = forward_batch(params, x, arena)
+            grads, _ = backward_batch(params, cache, y)
+            adam_step(params, clip_gradient_norm(grads, 3.0), state)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestInference:
+    @pytest.mark.parametrize("n", [1, 33, INFER_CHUNK, 300])
+    def test_outputs_equal_forward_batch_bit_for_bit(self, rng, n):
+        model = TrainedModel(init_params(33), m=10, stats=ChannelStats(0.0, 1.0, 0.0, 1.0))
+        x = rng.standard_normal((n, 10, FEATURE_DIM))
+        expected, _ = forward_batch(model.params, x)
+        assert _same_bits(_outputs(model.params, x), expected)
+        assert _same_bits(model.predict_batch(x), expected[:, -1, :])
+
+    def test_outputs_gather_sequences_like_their_input_array(self, rng):
+        dataset = _toy_dataset(rng, count=300, m=4)
+        params = init_params(34, input_dim=FEATURE_DIM)
+        seqs = dataset.validation[rng.permutation(300)]
+        assert _same_bits(_outputs(params, seqs), _outputs(params, seqs.input_array()))
+
+    def test_predict_batch_peak_memory_over_1000_sequences(self, rng):
+        model = TrainedModel(init_params(35), m=10, stats=ChannelStats(0.0, 1.0, 0.0, 1.0))
+        x = rng.standard_normal((1000, 10, FEATURE_DIM))
+        tracemalloc.start()
+        try:
+            model.predict_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27_000_000  # a third of the 81.4 MB the training cache took
+
+    def test_non_finite_input_rejected(self, rng):
+        x = rng.standard_normal((3, 6, 5))
+        x[2, 4, 1] = np.nan
+        with pytest.raises(ModelError, match="non-finite input"):
+            _tiny_model(seed=36).predict_batch(x)
 
 
 def _toy_dataset(rng, count=8, m=4, input_dim=5):
