@@ -23,13 +23,24 @@ caches, the backward scratch and every gradient are views into it, so a step
 allocates no activation arrays (as cuDNN's workspace and reserve space do;
 Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
 Inference runs the same LSTM time loop without the backward cache.
+
+When numpy's OpenBLAS runs each product on one thread and a second CPU is
+free, a training step runs its independent halves side by side on one helper
+thread (the backward LSTM direction beside the forward one, in both passes,
+and half of Adam's update).  Every product keeps its operands and its BLAS
+thread count, so the bits are those of the serial order.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import ctypes
 import functools
+import glob
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -191,6 +202,75 @@ def init_params(
     return params
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_num_threads():
+    """numpy's bundled OpenBLAS `get_num_threads`, or None when numpy ships no such library."""
+    package = os.path.dirname(np.__file__)
+    # Wheels keep their shared libraries in numpy.libs beside the package (Linux,
+    # Windows) or in numpy/.dylibs (macOS); loading one again returns the loaded copy.
+    for path in sorted(glob.glob(os.path.join(package + ".libs", "*openblas*"))
+                       + glob.glob(os.path.join(package, ".dylibs", "*openblas*"))):
+        try:
+            fn = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        return fn
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """Threads numpy's bundled OpenBLAS runs one product on; None when it is not found.
+
+    Training sums in an order that depends on this count, so it decides the
+    trained model's bits.
+    """
+    fn = _openblas_num_threads()
+    return None if fn is None else int(fn())
+
+
+def _lanes_pay() -> bool:
+    """Whether the helper lane speeds a step up: BLAS runs each product on one
+    thread, so a second CPU this process may run on would otherwise idle."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return blas_threads() == 1 and cpus >= 2
+
+
+_LANE_LOCK = threading.Lock()
+_lane: Optional[tuple[int, concurrent.futures.ThreadPoolExecutor]] = None  # (owning pid, executor)
+
+
+def _helper_lane() -> concurrent.futures.ThreadPoolExecutor:
+    """The process's one helper thread, started on first use (again in a forked child)."""
+    global _lane
+    with _LANE_LOCK:
+        if _lane is None or _lane[0] != os.getpid():
+            _lane = (os.getpid(), concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="bpnet-lane"))
+        return _lane[1]
+
+
+def _side_by_side(mine, theirs):
+    """(mine(), theirs()), with `theirs` on the helper lane while this thread runs `mine`.
+
+    Without the lane (see `_lanes_pay`) both run here, `mine` first.  Either
+    way `theirs` has finished before this returns or raises, and an error in
+    `mine` wins over one in `theirs`, as in the serial order.  `theirs` must
+    call no public function of this module, whose calls a tracer may wrap.
+    """
+    if not _lanes_pay():
+        return mine(), theirs()
+    future = _helper_lane().submit(theirs)
+    try:
+        result = mine()
+    except BaseException:
+        future.exception()  # waits; mine's error is the one raised
+        raise
+    return result, future.result()
+
+
 def _extent(regions: list[tuple[str, tuple]]) -> int:
     """Elements `regions` take end to end, each rounded up to 64 bytes."""
     return sum(-(-math.prod(shape) // 8) * 8 for _, shape in regions)
@@ -231,6 +311,10 @@ def _step_regions(dims: tuple, b: int, m: int) -> list[tuple[str, tuple]]:
         ("coef", (m, b, gates)),
         ("dc_dh", (m, b, hidden)),
         ("tmp", (b, gates)),
+        # The same for the backward direction, which may run beside the forward
+        # one; its dc_dh is d_h2, dead once the second LSTM's BPTT has run.
+        ("bw.coef", (m, b, gates)),
+        ("bw.tmp", (b, gates)),
         # Each layer's input gradient.
         ("d_h2", (m, b, hidden)),
         ("d_bi", (m, b, 2 * hidden)),
@@ -344,6 +428,11 @@ def lstm_backward(
     `d_inputs` (M, B, Din), which it returns.  `scratch` is (coef (M, B, 4H),
     dc_dh (M, B, H), rows (B, 4H)); dz is written over coef.
     """
+    return _bptt(w, cache, d_hidden, grads, scratch, d_inputs)
+
+
+def _bptt(w: LstmWeights, cache: LstmCache, d_hidden, grads: LstmWeights, scratch, d_inputs) -> np.ndarray:
+    """lstm_backward's body, which the helper lane calls."""
     M, B, H = d_hidden.shape
     coef, dc_dh, rows = scratch
     i, f, g, o = np.split(cache.gates, 4, axis=2)
@@ -442,12 +531,19 @@ def forward_batch(
     def buffers(cell):
         return [v[f"{cell}.{name}"] for name in _CACHE_FIELDS]
 
-    h_fw, fw_cache = lstm_forward(dense.reshape(M, B, -1), params.fw, "forward lstm", buffers("fw"), v["tmp"])
-    np.copyto(v["rev"], dense.reshape(M, B, -1)[::-1])
-    h_bw_rev, bw_cache = lstm_forward(v["rev"], params.bw, "backward lstm", buffers("bw"), v["tmp"])
+    bw_cache = LstmCache(v["rev"].reshape(M * B, -1), *buffers("bw"))
+
+    def backward_direction():
+        np.copyto(v["rev"], dense.reshape(M, B, -1)[::-1])
+        _lstm_layer(bw_cache.inputs, params.bw, "backward lstm", *buffers("bw"), v["bw.tmp"])
+
+    (h_fw, fw_cache), _ = _side_by_side(
+        lambda: lstm_forward(dense.reshape(M, B, -1), params.fw, "forward lstm", buffers("fw"), v["tmp"]),
+        backward_direction,
+    )
     bi = v["bi"]
     bi[:, :, :H] = h_fw
-    bi[:, :, H:] = h_bw_rev[::-1]
+    bi[:, :, H:] = bw_cache.hidden[::-1]
     h2, lstm2_cache = lstm_forward(bi, params.lstm2, "second lstm", buffers("lstm2"), v["tmp"])
     outputs = v["outputs"]
     np.copyto(outputs, _head(params, h2, v["head"]).transpose(1, 0, 2))
@@ -479,8 +575,12 @@ def backward_batch(
 
     scratch = (v["coef"], v["dc_dh"], v["tmp"])
     d_bi = lstm_backward(params.lstm2, cache.lstm2_cache, d_h2, grads.lstm2, scratch, v["d_bi"])
-    d_dense = lstm_backward(params.fw, cache.fw_cache, d_bi[:, :, :H], grads.fw, scratch, v["d_dense"])
-    d_dense += lstm_backward(params.bw, cache.bw_cache, d_bi[::-1, :, H:], grads.bw, scratch, v["d_bw"])[::-1]
+    bw_scratch = (v["bw.coef"], d_h2, v["bw.tmp"])
+    d_dense, d_bw = _side_by_side(
+        lambda: lstm_backward(params.fw, cache.fw_cache, d_bi[:, :, :H], grads.fw, scratch, v["d_dense"]),
+        lambda: _bptt(params.bw, cache.bw_cache, d_bi[::-1, :, H:], grads.bw, bw_scratch, v["d_bw"]),
+    )
+    d_dense += d_bw[::-1]
 
     d_pre = d_dense.reshape(M * B, -1)
     d_pre *= cache.dense > 0
@@ -531,29 +631,35 @@ def adam_step(
     """One bias-corrected Adam update, in place; returns the same objects.
 
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps), ADAM_CHUNK elements at a time
-    through one temporary chunk.
+    through a temporary chunk.  The two halves, split at a multiple of
+    ADAM_CHUNK, may run side by side, each through its own chunk.
     """
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
     n = params.flat.size
-    chunk = np.empty(min(n, ADAM_CHUNK))
-    for lo in range(0, n, ADAM_CHUNK):
-        p, g = params.flat[lo : lo + ADAM_CHUNK], grads.flat[lo : lo + ADAM_CHUNK]
-        m, v = state.m.flat[lo : lo + ADAM_CHUNK], state.v.flat[lo : lo + ADAM_CHUNK]
-        tmp = chunk[: p.size]
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=tmp)
-        v *= state.beta2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - state.beta2
-        v += tmp
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += state.eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= lr / bc1
-        p -= tmp
+    chunks = np.empty((2, min(n, ADAM_CHUNK)))
+
+    def update(start: int, stop: int, chunk: np.ndarray) -> None:
+        for lo in range(start, stop, ADAM_CHUNK):
+            p, g = params.flat[lo : lo + ADAM_CHUNK], grads.flat[lo : lo + ADAM_CHUNK]
+            m, v = state.m.flat[lo : lo + ADAM_CHUNK], state.v.flat[lo : lo + ADAM_CHUNK]
+            tmp = chunk[: p.size]
+            m *= state.beta1
+            m += np.multiply(g, 1.0 - state.beta1, out=tmp)
+            v *= state.beta2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - state.beta2
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += state.eps
+            np.divide(m, tmp, out=tmp)
+            tmp *= lr / bc1
+            p -= tmp
+
+    half = min(n, max(1, round(n / (2 * ADAM_CHUNK))) * ADAM_CHUNK)  # the chunk boundary nearest n / 2
+    _side_by_side(lambda: update(0, half, chunks[0]), lambda: update(half, n, chunks[1]))
     return params, state
 
 
@@ -709,10 +815,14 @@ class TrainedModel:
             raise ModelError(f"sequence shape {seq.shape} does not match trained M={self.m}")
         return TargetPair(*self.predict_batch(seq[None])[0].tolist())
 
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        """Final-step (SBP, DBP) rows for (N, M, input_dim) standardized sequences."""
-        if x.shape[1] != self.m:
-            raise ModelError(f"batch M={x.shape[1]} does not match trained M={self.m}")
+    def predict_batch(self, x) -> np.ndarray:
+        """Final-step (SBP, DBP) rows for (N, M, input_dim) standardized sequences or a Sequences.
+
+        A Sequences is gathered from its row table a chunk at a time, never M-fold as a whole.
+        """
+        m = x.m if isinstance(x, Sequences) else x.shape[1]
+        if m != self.m:
+            raise ModelError(f"batch M={m} does not match trained M={self.m}")
         estimates = _outputs(self.params, x)[:, -1, :]
         if not np.all(np.isfinite(estimates)):
             raise ModelError("non-finite prediction")

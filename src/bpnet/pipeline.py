@@ -27,6 +27,7 @@ from bpnet.evaluate import assemble_report, tracking_export
 from bpnet.model import (
     TrainConfig,
     TrainedModel,
+    blas_threads,
     load_model,
     save_model,
     train,
@@ -91,13 +92,14 @@ def _read_manifest(path: Path) -> dict | None:
     return None
 
 
-def _update_manifest(config: PipelineConfig, stage: str, inputs: list[str], outputs: list[str]) -> None:
+def _update_manifest(config: PipelineConfig, stage: str, inputs: list[str], outputs: list[str], **facts) -> None:
+    """Record `stage`'s inputs, outputs and any further `facts` in the run manifest."""
     path = Path(config.out_dir) / "manifest.json"
     manifest = {"config_hash": config.config_hash(), "seed": config.seed, "stages": {}}
     previous = _read_manifest(path)
     if previous is not None and previous.get("config_hash") == manifest["config_hash"]:
         manifest["stages"] = previous["stages"]
-    manifest["stages"][stage] = {"inputs": sorted(inputs), "outputs": sorted(outputs)}
+    manifest["stages"][stage] = {"inputs": sorted(inputs), "outputs": sorted(outputs), **facts}
     _atomic_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -325,7 +327,11 @@ def stage_train(config: PipelineConfig) -> list[str]:
         written.append(str(models_dir / "index.csv"))
     _atomic_text(out / "history.csv", "\n".join(history_rows) + "\n")
     written.append(str(out / "history.csv"))
-    _update_manifest(config, "train", [str(out / "dataset.bpseq")], written)
+    threads = blas_threads()  # the products' summation order, hence the models' bits, depend on it
+    _update_manifest(
+        config, "train", [str(out / "dataset.bpseq")], written,
+        blas_threads="unknown" if threads is None else threads,
+    )
     return written
 
 
@@ -392,7 +398,7 @@ def stage_eval(config: PipelineConfig) -> str:
     for key, model in models.items():
         mask = keys == key
         if mask.any():
-            estimates[mask] = model.predict_batch(scored[mask].input_array())
+            estimates[mask] = model.predict_batch(scored[mask])
     (sbp_est, dbp_est), (sbp_true, dbp_true) = estimates.T.copy(), scored.target_array()[:, -1].T.copy()
     rows = zip(scored.patient.tolist(), scored.start.tolist(), sbp_true, sbp_est, dbp_true, dbp_est)
     # Built first: an estimate whose errors overflow raises before any artifact is written.

@@ -94,6 +94,22 @@ def test_manifest_records_config_hash_and_seed(tmp_path, synth_csv):
     assert "ingest" in manifest["stages"]
 
 
+def test_manifest_records_training_blas_threads(tmp_path, synth_csv, monkeypatch):
+    from bpnet import model, pipeline
+
+    cfg = _write_config(tmp_path, synth_csv)
+    for stage in ("ingest", "preprocess", "segment", "train"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    path = tmp_path / "out" / "manifest.json"
+    threads = model.blas_threads()
+    assert json.loads(path.read_text())["stages"]["train"]["blas_threads"] == (
+        "unknown" if threads is None else threads
+    )
+    monkeypatch.setattr(pipeline, "blas_threads", lambda: None)  # a numpy without OpenBLAS
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert json.loads(path.read_text())["stages"]["train"]["blas_threads"] == "unknown"
+
+
 def test_repeat_runs_byte_identical_artifacts(tmp_path, synth_csv):
     cfg = _write_config(tmp_path, synth_csv)
     stages = ("ingest", "preprocess", "segment", "train")

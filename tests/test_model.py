@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bpnet import model as bpmodel
 from bpnet.model import (
     ADAM_CHUNK,
     INFER_CHUNK,
@@ -386,25 +389,138 @@ class TestStepArena:
             forward_batch(params, rng.standard_normal((5, 3, 5)), arena)
 
     def test_warm_step_allocates_under_1_mb(self, rng):
-        params = init_params(32)
-        state = AdamState.for_params(params)
-        arena = StepArena(params.dims, 32, 10)
-        x = rng.standard_normal((32, 10, FEATURE_DIM))
-        y = 100.0 + 10.0 * rng.standard_normal((32, 10, 2))
+        assert _warm_step_traced_peak(rng) < 1_000_000
 
-        def step():
-            _, cache = forward_batch(params, x, arena)
-            grads, _ = backward_batch(params, cache, y)
-            adam_step(params, clip_gradient_norm(grads, 3.0), state)
 
+def _warm_step_traced_peak(rng) -> int:
+    """Traced peak bytes of a B=32, M=10 training step through a warm arena."""
+    params = init_params(32)
+    state = AdamState.for_params(params)
+    arena = StepArena(params.dims, 32, 10)
+    x = rng.standard_normal((32, 10, FEATURE_DIM))
+    y = 100.0 + 10.0 * rng.standard_normal((32, 10, 2))
+
+    def step():
+        _, cache = forward_batch(params, x, arena)
+        grads, _ = backward_batch(params, cache, y)
+        adam_step(params, clip_gradient_norm(grads, 3.0), state)
+
+    step()
+    tracemalloc.start()
+    try:
         step()
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _use_lane(monkeypatch, on: bool) -> None:
+    """Run the step's second half on the helper lane (on) or inline after the first (off)."""
+    monkeypatch.setattr(bpmodel, "_lanes_pay", lambda: on)
+
+
+class TestHelperLane:
+    @pytest.mark.parametrize(
+        "dims, b, m",
+        [((FEATURE_DIM, 128, 128, 2), 32, 10), ((5, 4, 4, 2), 3, 6)],
+        ids=["full-b32-m10", "tiny"],
+    )
+    def test_lane_and_inline_step_bit_equal(self, rng, monkeypatch, dims, b, m):
+        params = init_params(40, *dims)
+        x = rng.standard_normal((b, m, dims[0]))
+        y = 100.0 + 10.0 * rng.standard_normal((b, m, 2))
+        runs = []
+        for on in (False, True):
+            _use_lane(monkeypatch, on)
+            out, cache = forward_batch(params, x)
+            grads, loss = backward_batch(params, cache, y)
+            runs.append((out, cache.bw_cache.hidden, grads.flat, cache.views["d_dense"], loss))
+        (out0, bw0, g0, d0, loss0), (out1, bw1, g1, d1, loss1) = runs
+        assert _same_bits(out0, out1) and _same_bits(bw0, bw1)
+        assert _same_bits(g0, g1) and _same_bits(d0, d1)
+        assert loss0 == loss1
+
+    def test_backward_direction_runs_on_the_helper_thread(self, rng, monkeypatch):
+        seen, caller = [], threading.current_thread()
+        for name in ("_lstm_layer", "_bptt"):
+            original = getattr(bpmodel, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                seen.append((_name, threading.current_thread() is caller))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bpmodel, name, spy)
+        _use_lane(monkeypatch, True)
+        params = _tiny_params(seed=41)
+        _, cache = forward_batch(params, rng.standard_normal((2, 4, 5)))
+        backward_batch(params, cache, rng.standard_normal((2, 4, 2)))
+        # fw and lstm2 forward, fw BPTT (through lstm_backward) and lstm2 BPTT stay here.
+        assert sorted(seen) == [("_bptt", False), ("_bptt", True), ("_bptt", True),
+                                ("_lstm_layer", False), ("_lstm_layer", True), ("_lstm_layer", True)]
+
+    @pytest.mark.parametrize("n", [1_000, 2 * ADAM_CHUNK, 3 * ADAM_CHUNK + 17], ids=["below", "multiple", "ragged"])
+    def test_adam_halves_bit_equal(self, rng, monkeypatch, n):
+        dims = (n - 43, 1, 1, 1)  # n parameters
+        start = [rng.standard_normal(n) for _ in range(3)] + [rng.random(n)]
+        results = []
+        for on in (False, True):
+            _use_lane(monkeypatch, on)
+            params, grads, m, v = (ModelParams(dims, a.copy()) for a in start)
+            state = AdamState(m, v, step=2)
+            adam_step(params, grads, state, 0.003)
+            results.append((params.flat, state.m.flat, state.v.flat, state.step))
+        (p0, m0, v0, t0), (p1, m1, v1, t1) = results
+        assert _same_bits(p0, p1) and _same_bits(m0, m1) and _same_bits(v0, v1) and t0 == t1 == 3
+
+    @pytest.mark.parametrize("on", [False, True], ids=["inline", "lane"])
+    @pytest.mark.parametrize(
+        "cells, layer", [(("bw",), "backward lstm"), (("fw", "bw"), "forward lstm")], ids=["bw", "both"]
+    )
+    def test_non_finite_direction_raises_as_in_serial_order(self, rng, monkeypatch, on, cells, layer):
+        _use_lane(monkeypatch, on)
+        params = _tiny_params(seed=42)
+        for cell in cells:
+            getattr(params, cell).wh[0, 0] = np.nan
+        with pytest.raises(NonFiniteActivation) as info:
+            forward_batch(params, rng.standard_normal((3, 5, 5)))
+        # Step 0 has no recurrent product; the NaN weight first acts at step 1.
+        assert (info.value.step, info.value.layer) == (1, layer)
+
+    @pytest.mark.parametrize("cell", ["fw", "bw"])
+    def test_lane_is_joined_before_an_error_reaches_the_caller(self, rng, monkeypatch, cell):
+        _use_lane(monkeypatch, True)
+        done = []
+        original = bpmodel._lstm_layer
+
+        def slow_backward_direction(*args):
+            if args[2] == "backward lstm":
+                time.sleep(0.05)  # still running when the forward direction raises
+                try:
+                    return original(*args)
+                finally:
+                    done.append(True)
+            return original(*args)
+
+        monkeypatch.setattr(bpmodel, "_lstm_layer", slow_backward_direction)
+        params = init_params(43)
+        arena = StepArena(params.dims, 4, 10)
+        bad = params.copy()
+        getattr(bad, cell).wh[0, 0] = np.nan
+        with pytest.raises(NonFiniteActivation):
+            forward_batch(bad, rng.standard_normal((4, 10, FEATURE_DIM)), arena)
+        assert done == [True]
+
+        x = rng.standard_normal((4, 10, FEATURE_DIM))
+        y = 100.0 + 10.0 * rng.standard_normal((4, 10, 2))
+        out, cache = forward_batch(params, x, arena)
+        grads, loss = backward_batch(params, cache, y)
+        ref_out, ref_cache = forward_batch(params, x, StepArena(params.dims, 4, 10))
+        ref_grads, ref_loss = backward_batch(params, ref_cache, y)
+        assert _same_bits(out, ref_out) and _same_bits(grads.flat, ref_grads.flat) and loss == ref_loss
+
+    def test_warm_step_with_the_lane_allocates_under_1_mb(self, rng, monkeypatch):
+        _use_lane(monkeypatch, True)
+        assert _warm_step_traced_peak(rng) < 1_000_000
 
 
 class TestInference:
@@ -421,6 +537,14 @@ class TestInference:
         params = init_params(34, input_dim=FEATURE_DIM)
         seqs = dataset.validation[rng.permutation(300)]
         assert _same_bits(_outputs(params, seqs), _outputs(params, seqs.input_array()))
+
+    def test_predict_batch_takes_sequences_like_their_input_array(self, rng):
+        dataset = _toy_dataset(rng, count=300, m=4)
+        model = TrainedModel(init_params(34, input_dim=FEATURE_DIM), m=4, stats=dataset.stats)
+        seqs = dataset.test[rng.permutation(300)]
+        assert _same_bits(model.predict_batch(seqs), model.predict_batch(seqs.input_array()))
+        with pytest.raises(ModelError, match="M=4"):
+            TrainedModel(model.params, m=5, stats=dataset.stats).predict_batch(seqs)
 
     def test_predict_batch_peak_memory_over_1000_sequences(self, rng):
         model = TrainedModel(init_params(35), m=10, stats=ChannelStats(0.0, 1.0, 0.0, 1.0))
