@@ -25,20 +25,22 @@ Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
 Inference runs the same LSTM time loop without the backward cache.
 
 When numpy's OpenBLAS runs each product on one thread and a second CPU is
-free, a training step runs its independent halves side by side on one helper
-thread (the backward LSTM direction beside the forward one, in both passes,
-and half of Adam's update).  Every product keeps its operands and its BLAS
-thread count, so the bits are those of the serial order.
+free, independent halves of the work run side by side on one helper thread:
+the backward LSTM direction beside the forward one, in both passes, and half
+of Adam's update; the dense layer, the second LSTM, the clip's scale and the
+inference time loops by row or batch halves.  A product is split by rows only
+where a one-time probe shows that the BLAS gives the halves the bits of the
+whole product (`_halves_exact`), so the bits are those of the serial order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import ctypes
 import functools
 import glob
 import math
 import os
+import queue
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -239,36 +241,115 @@ def _lanes_pay() -> bool:
     return blas_threads() == 1 and cpus >= 2
 
 
-_LANE_LOCK = threading.Lock()
-_lane: Optional[tuple[int, concurrent.futures.ThreadPoolExecutor]] = None  # (owning pid, executor)
+class _Lane:
+    """One daemon helper thread fed through a queue; `lock` is held by the pair using it."""
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.lock = threading.Lock()
+        self.tasks: queue.SimpleQueue = queue.SimpleQueue()  # (task, the queue its reply goes to)
+        threading.Thread(target=self._serve, name="bpnet-lane", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            task, replies = self.tasks.get()
+            try:
+                reply = (task(), None)
+            except BaseException as exc:
+                reply = (None, exc)
+            # Hold neither across the wait for the next task: each may keep a
+            # whole step's buffers alive.
+            del task
+            replies.put(reply)
+            del reply, replies
 
 
-def _helper_lane() -> concurrent.futures.ThreadPoolExecutor:
-    """The process's one helper thread, started on first use (again in a forked child)."""
+_LANE_START = threading.Lock()
+_lane: Optional[_Lane] = None
+
+
+def _claim_lane() -> Optional[_Lane]:
+    """The process's helper lane, locked for this caller, or None when it does not pay or is busy.
+
+    The lane starts on first use (again in a forked child).  A busy lane is
+    never waited for: a pair inside a pair, on either thread, or a pair on a
+    second Python thread, runs inline instead.
+    """
     global _lane
-    with _LANE_LOCK:
-        if _lane is None or _lane[0] != os.getpid():
-            _lane = (os.getpid(), concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="bpnet-lane"))
-        return _lane[1]
+    if not _lanes_pay():
+        return None
+    with _LANE_START:
+        if _lane is None or _lane.pid != os.getpid():
+            _lane = _Lane()
+        lane = _lane
+    return lane if lane.lock.acquire(blocking=False) else None
+
+
+def _beside(lane: _Lane, mine, theirs):
+    """(mine(), theirs()), `theirs` on the claimed `lane`, which is released once it has finished."""
+    # One reply queue per pair, so a reply that an interrupted wait missed reaches no later pair.
+    replies: queue.SimpleQueue = queue.SimpleQueue()
+    try:
+        lane.tasks.put((theirs, replies))
+        try:
+            result = mine()
+        finally:
+            theirs_result, error = replies.get()  # waits; an error in mine wins
+    finally:
+        lane.lock.release()
+    if error is not None:
+        raise error
+    return result, theirs_result
 
 
 def _side_by_side(mine, theirs):
     """(mine(), theirs()), with `theirs` on the helper lane while this thread runs `mine`.
 
-    Without the lane (see `_lanes_pay`) both run here, `mine` first.  Either
+    Without the lane (see `_claim_lane`) both run here, `mine` first.  Either
     way `theirs` has finished before this returns or raises, and an error in
     `mine` wins over one in `theirs`, as in the serial order.  `theirs` must
     call no public function of this module, whose calls a tracer may wrap.
     """
-    if not _lanes_pay():
-        return mine(), theirs()
-    future = _helper_lane().submit(theirs)
-    try:
-        result = mine()
-    except BaseException:
-        future.exception()  # waits; mine's error is the one raised
-        raise
-    return result, future.result()
+    lane = _claim_lane()
+    return (mine(), theirs()) if lane is None else _beside(lane, mine, theirs)
+
+
+@functools.lru_cache(maxsize=256)
+def _halves_exact(m: int, k: int, n: int, a_transposed: bool = False, b_transposed: bool = False) -> bool:
+    """Whether BLAS gives an (m, k) @ (k, n) product the same bits whole and as two row halves.
+
+    A transposed operand is the transpose of a C-ordered array, as ``x.T``
+    is.  The answer depends on the shape and layout, not the values (the
+    library may pick another kernel, and so another summation order, for
+    fewer rows), so random operands of exactly that shape decide it once.
+    """
+    if m < 2:
+        return False
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((k, m)).T if a_transposed else rng.standard_normal((m, k))
+    b = rng.standard_normal((n, k)).T if b_transposed else rng.standard_normal((k, n))
+    whole, halves = np.matmul(a, b), np.empty((m, n))
+    np.matmul(a[: m // 2], b, out=halves[: m // 2])
+    np.matmul(a[m // 2 :], b, out=halves[m // 2 :])
+    return np.array_equal(whole.view(np.int64), halves.view(np.int64))
+
+
+def _halves(n: int, fn, *products) -> None:
+    """fn(0, n // 2) and fn(n // 2, n) side by side, or fn(0, n) whole.
+
+    The halves run only when the helper lane is free and every listed product
+    (m, k, n, a_transposed, b_transposed) that `fn` splits by rows passes
+    `_halves_exact`, so a lane never decides a bit.  `fn` must call no public
+    function of this module.
+    """
+    lane = _claim_lane() if n >= 2 else None
+    if lane is not None and not all(_halves_exact(*p) for p in products):
+        lane.lock.release()
+        lane = None
+    if lane is None:
+        fn(0, n)
+    else:
+        _beside(lane, lambda: fn(0, n // 2), lambda: fn(n // 2, n))
 
 
 def _extent(regions: list[tuple[str, tuple]]) -> int:
@@ -365,36 +446,50 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tmp) -> None:
+def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tmp, split_input=False) -> None:
     """One LSTM direction over time-major rows `x2` (M*B, Din).
 
-    The input product of every step goes into `gates` (M, B, 4H) at once;
-    the time loop activates it in place.  Step t writes ``hidden[t]``,
-    ``cells[t % len(cells)]`` and ``tanh_c[t % len(tanh_c)]``: training keeps
-    every step for the backward pass, inference passes two cell rows and one
-    tanh row.  `tmp` is (B, 4H) scratch.
+    The input product of every step goes into `gates` (M, B, 4H) at once, by
+    row halves when `split_input`; the time loop activates it in place, by
+    batch halves.  Step t writes ``hidden[t]``, ``cells[t % len(cells)]`` and
+    ``tanh_c[t % len(tanh_c)]``: training keeps every step for the backward
+    pass, inference passes two cell rows and one tanh row.  `tmp` is (B, 4H)
+    scratch.
     """
     M, B, _ = gates.shape
     H = w.hidden
-    np.matmul(x2, w.wx, out=gates.reshape(M * B, 4 * H))
-    gates += w.b
+    g2 = gates.reshape(M * B, 4 * H)
+
+    def project(lo, hi):
+        np.matmul(x2[lo:hi], w.wx, out=g2[lo:hi])
+        g2[lo:hi] += w.b
+
+    if split_input:
+        _halves(M * B, project, (M * B, x2.shape[1], 4 * H))
+    else:
+        project(0, M * B)
     scale, shift = _gate_affine(H)
-    for t in range(M):
-        z, c = gates[t], cells[t % len(cells)]
-        if t:
-            np.matmul(hidden[t - 1], w.wh, out=tmp)
-            z += tmp
-        z *= scale
-        np.tanh(z, out=z)
-        z *= scale
-        z += shift
-        np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=c)
-        if t:
-            np.multiply(z[:, H : 2 * H], cells[(t - 1) % len(cells)], out=tmp[:, :H])
-            c += tmp[:, :H]
-        tc = tanh_c[t % len(tanh_c)]
-        np.tanh(c, out=tc)
-        np.multiply(z[:, 3 * H :], tc, out=hidden[t])
+
+    def steps(lo, hi):
+        r = tmp[lo:hi]
+        for t in range(M):
+            z, c = gates[t, lo:hi], cells[t % len(cells), lo:hi]
+            if t:
+                np.matmul(hidden[t - 1, lo:hi], w.wh, out=r)
+                z += r
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=c)
+            if t:
+                np.multiply(z[:, H : 2 * H], cells[(t - 1) % len(cells), lo:hi], out=r[:, :H])
+                c += r[:, :H]
+            tc = tanh_c[t % len(tanh_c), lo:hi]
+            np.tanh(c, out=tc)
+            np.multiply(z[:, 3 * H :], tc, out=hidden[t, lo:hi])
+
+    _halves(B, steps, (B, H, 4 * H))
     finite = np.isfinite(hidden).reshape(M, -1).all(axis=1)
     if not finite.all():
         raise NonFiniteActivation(int(np.argmin(finite)), layer)
@@ -415,7 +510,7 @@ def lstm_forward(
     if tmp is None:
         tmp = np.empty((B, 4 * H))
     cache = LstmCache(inputs.reshape(M * B, d_in), *out)
-    _lstm_layer(cache.inputs, w, layer, cache.gates, cache.cells, cache.tanh_c, cache.hidden, tmp)
+    _lstm_layer(cache.inputs, w, layer, cache.gates, cache.cells, cache.tanh_c, cache.hidden, tmp, split_input=True)
     return cache.hidden, cache
 
 
@@ -435,44 +530,55 @@ def _bptt(w: LstmWeights, cache: LstmCache, d_hidden, grads: LstmWeights, scratc
     """lstm_backward's body, which the helper lane calls."""
     M, B, H = d_hidden.shape
     coef, dc_dh, rows = scratch
-    i, f, g, o = np.split(cache.gates, 4, axis=2)
-    # dz = [dc g i(1-i) | dc c_prev f(1-f) | dc i(1-g^2) | dh tanh(c) o(1-o)];
-    # every factor beside dc and dh is known before the loop.  Two passes over
-    # the whole block give i(1-i), f(1-f) and o(1-o); the g block is rewritten.
-    c_i, c_f, c_g, c_o = np.split(coef, 4, axis=2)
-    np.subtract(1.0, cache.gates, out=coef)
-    coef *= cache.gates
-    c_i *= g
-    c_f[0] = 0.0
-    c_f[1:] *= cache.cells[:-1]
-    np.multiply(g, g, out=c_g)
-    np.subtract(1.0, c_g, out=c_g)
-    c_g *= i
-    c_o *= cache.tanh_c
-    np.multiply(cache.tanh_c, cache.tanh_c, out=dc_dh)
-    np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= o
-    coef4 = coef.reshape(M, B, 4, H)
-
-    dh, dc, dh_next, dc_next = rows.reshape(4, B, H)
-    dh_next.fill(0.0)  # the last step adds a zero carry, as +0.0 turns -0.0 into +0.0
-    dc_next.fill(0.0)
     wh_t = w.wh.T
-    for t in range(M - 1, -1, -1):
-        np.add(d_hidden[t], dh_next, out=dh)
-        np.multiply(dh, dc_dh[t], out=dc)
-        dc += dc_next
-        np.multiply(dc[:, None, :], coef4[t, :, :3], out=coef4[t, :, :3])
-        np.multiply(dh, coef4[t, :, 3], out=coef4[t, :, 3])
-        if t:
-            np.matmul(coef[t], wh_t, out=dh_next)
-            np.multiply(dc, f[t], out=dc_next)
+
+    def steps(lo, hi):
+        """BPTT for batch rows lo:hi; every row is independent until the weight gradients."""
+        gates, cells, tanh_c = cache.gates[:, lo:hi], cache.cells[:, lo:hi], cache.tanh_c[:, lo:hi]
+        dz, dc_h = coef[:, lo:hi], dc_dh[:, lo:hi]
+        i, f, g, o = np.split(gates, 4, axis=2)
+        # dz = [dc g i(1-i) | dc c_prev f(1-f) | dc i(1-g^2) | dh tanh(c) o(1-o)];
+        # every factor beside dc and dh is known before the loop.  Two passes
+        # over the whole block give i(1-i), f(1-f) and o(1-o); the g block is
+        # rewritten.
+        c_i, c_f, c_g, c_o = np.split(dz, 4, axis=2)
+        np.subtract(1.0, gates, out=dz)
+        dz *= gates
+        c_i *= g
+        c_f[0] = 0.0
+        c_f[1:] *= cells[:-1]
+        np.multiply(g, g, out=c_g)
+        np.subtract(1.0, c_g, out=c_g)
+        c_g *= i
+        c_o *= tanh_c
+        np.multiply(tanh_c, tanh_c, out=dc_h)
+        np.subtract(1.0, dc_h, out=dc_h)
+        dc_h *= o
+        dz4 = dz.reshape(M, hi - lo, 4, H)
+
+        dh, dc, dh_next, dc_next = rows.reshape(4, B, H)[:, lo:hi]
+        dh_next.fill(0.0)  # the last step adds a zero carry, as +0.0 turns -0.0 into +0.0
+        dc_next.fill(0.0)
+        for t in range(M - 1, -1, -1):
+            np.add(d_hidden[t, lo:hi], dh_next, out=dh)
+            np.multiply(dh, dc_h[t], out=dc)
+            dc += dc_next
+            np.multiply(dc[:, None, :], dz4[t, :, :3], out=dz4[t, :, :3])
+            np.multiply(dh, dz4[t, :, 3], out=dz4[t, :, 3])
+            if t:
+                np.matmul(dz[t], wh_t, out=dh_next)
+                np.multiply(dc, f[t], out=dc_next)
+
+    _halves(B, steps, (B, 4 * H, H, False, True))
 
     dz2 = coef.reshape(M * B, 4 * H)
-    np.matmul(cache.inputs.T, dz2, out=grads.wx)
-    np.matmul(cache.hidden[:-1].reshape(-1, H).T, dz2[B:], out=grads.wh)
-    np.sum(dz2, axis=0, out=grads.b)
-    np.matmul(dz2, w.wx.T, out=d_inputs.reshape(M * B, -1))
+    x2, h2 = cache.inputs, cache.hidden[:-1].reshape(-1, H)
+    d_in = x2.shape[1]
+    _halves(d_in, lambda lo, hi: np.matmul(x2[:, lo:hi].T, dz2, out=grads.wx[lo:hi]), (d_in, M * B, 4 * H, True))
+    _halves(H, lambda lo, hi: np.matmul(h2[:, lo:hi].T, dz2[B:], out=grads.wh[lo:hi]), (H, h2.shape[0], 4 * H, True))
+    _halves(4 * H, lambda lo, hi: np.sum(dz2[:, lo:hi], axis=0, out=grads.b[lo:hi]))
+    d2 = d_inputs.reshape(M * B, -1)
+    _halves(M * B, lambda lo, hi: np.matmul(dz2[lo:hi], w.wx.T, out=d2[lo:hi]), (M * B, 4 * H, d_in, False, True))
     return d_inputs
 
 
@@ -526,7 +632,9 @@ def forward_batch(
     np.copyto(x2.reshape(M, B, -1), x.transpose(1, 0, 2))
     if not np.isfinite(x2).all():
         raise ModelError("non-finite input features")
-    dense = _dense_relu(params, x2, v["dense"])
+    dense = v["dense"]
+    d_in, units = params.dense_w.shape
+    _halves(M * B, lambda lo, hi: _dense_relu(params, x2[lo:hi], dense[lo:hi]), (M * B, d_in, units))
 
     def buffers(cell):
         return [v[f"{cell}.{name}"] for name in _CACHE_FIELDS]
@@ -584,7 +692,8 @@ def backward_batch(
 
     d_pre = d_dense.reshape(M * B, -1)
     d_pre *= cache.dense > 0
-    np.matmul(cache.x.T, d_pre, out=grads.dense_w)
+    x2, (d_in, units) = cache.x, params.dense_w.shape
+    _halves(d_in, lambda lo, hi: np.matmul(x2[:, lo:hi].T, d_pre, out=grads.dense_w[lo:hi]), (d_in, M * B, units, True))
     np.sum(d_pre, axis=0, out=grads.dense_b)
     return grads, loss
 
@@ -604,8 +713,9 @@ def clip_gradient_norm(grads: ModelParams, cap: float) -> ModelParams:
     norm = gradient_norm(grads)
     if norm <= cap:
         return grads
-    grads.flat *= cap / norm
-    return ModelParams(grads.dims, grads.flat)
+    scale, flat = cap / norm, grads.flat
+    _halves(flat.size, lambda lo, hi: np.multiply(flat[lo:hi], scale, out=flat[lo:hi]))
+    return ModelParams(grads.dims, flat)
 
 
 @dataclass

@@ -2,6 +2,7 @@ import math
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -492,14 +493,14 @@ class TestHelperLane:
         done = []
         original = bpmodel._lstm_layer
 
-        def slow_backward_direction(*args):
+        def slow_backward_direction(*args, **kwargs):
             if args[2] == "backward lstm":
                 time.sleep(0.05)  # still running when the forward direction raises
                 try:
-                    return original(*args)
+                    return original(*args, **kwargs)
                 finally:
                     done.append(True)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(bpmodel, "_lstm_layer", slow_backward_direction)
         params = init_params(43)
@@ -521,6 +522,167 @@ class TestHelperLane:
     def test_warm_step_with_the_lane_allocates_under_1_mb(self, rng, monkeypatch):
         _use_lane(monkeypatch, True)
         assert _warm_step_traced_peak(rng) < 1_000_000
+
+
+def _step_bits(params: ModelParams, x: np.ndarray, y: np.ndarray) -> list:
+    """Outputs, loss, every gradient, the clipped gradient, and the parameters and moments after Adam."""
+    params = params.copy()
+    state = AdamState.for_params(params)
+    out, cache = forward_batch(params, x)
+    grads, loss = backward_batch(params, cache, y)
+    raw = grads.flat.copy()
+    adam_step(params, clip_gradient_norm(grads, 3.0), state)
+    return [out.tobytes(), loss, raw.tobytes(), grads.flat.tobytes(),
+            params.flat.tobytes(), state.m.flat.tobytes(), state.v.flat.tobytes()]
+
+
+def _lane_and_inline(monkeypatch, run):
+    results = []
+    for on in (False, True):
+        _use_lane(monkeypatch, on)
+        results.append(run())
+    return results
+
+
+class TestHalvesSweep:
+    """A split runs only where the BLAS keeps the bits; on some libraries row
+    halves change them at some batch sizes (B 2, 3 and 10-19 on OpenBLAS
+    0.3.31's SkylakeX kernels), and an epoch's last batch may have any size."""
+
+    @pytest.mark.parametrize("m, b", [(10, b) for b in range(1, 34)] + [(m, b) for m in (1, 2) for b in (1, 3, 12, 32)])
+    def test_step_bits_with_and_without_the_lane(self, rng, monkeypatch, m, b):
+        params = init_params(50)
+        x = rng.standard_normal((b, m, FEATURE_DIM))
+        y = 100.0 + 10.0 * rng.standard_normal((b, m, 2))
+        inline, lane = _lane_and_inline(monkeypatch, lambda: _step_bits(params, x, y))
+        assert inline == lane
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 255, INFER_CHUNK, 257, 300])
+    def test_inference_bits_with_and_without_the_lane(self, rng, monkeypatch, n):
+        params = init_params(51)
+        x = rng.standard_normal((n, 10, FEATURE_DIM))
+        inline, lane = _lane_and_inline(monkeypatch, lambda: _outputs(params, x).tobytes())
+        assert inline == lane
+
+
+class TestLaneMechanics:
+    def test_probe_refuses_single_rows_and_runs_once_per_shape(self):
+        assert not bpmodel._halves_exact(1, 64, 64)
+        shape = (7, 11, 13, True, False)  # no layer has this shape
+        before = bpmodel._halves_exact.cache_info()
+        first = bpmodel._halves_exact(*shape)
+        assert bpmodel._halves_exact(*shape) is first
+        after = bpmodel._halves_exact.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+
+    def test_without_the_probe_every_product_runs_whole(self, rng, monkeypatch):
+        params = init_params(52)
+        x = rng.standard_normal((8, 10, FEATURE_DIM))
+        y = 100.0 + 10.0 * rng.standard_normal((8, 10, 2))
+        inline = _lane_and_inline(monkeypatch, lambda: _step_bits(params, x, y))[0]
+        calls, original = [], bpmodel._halves
+
+        def spy(n, fn, *products):
+            def record(lo, hi):
+                calls.append((lo, hi, n, bool(products)))
+                fn(lo, hi)
+
+            original(n, record, *products)
+
+        monkeypatch.setattr(bpmodel, "_halves", spy)
+        monkeypatch.setattr(bpmodel, "_halves_exact", lambda *shape: False)
+        _use_lane(monkeypatch, True)
+        assert _step_bits(params, x, y) == inline
+        products = [call for call in calls if call[3]]
+        assert products and all((lo, hi) == (0, n) for lo, hi, n, _ in products)
+        # Elementwise work (the clip's scale, a bias gradient) has no product to probe.
+        half = params.count // 2
+        assert {(0, half), (half, params.count)} <= {(lo, hi) for lo, hi, _, has in calls if not has}
+
+    def test_a_pair_inside_a_pair_runs_inline_on_either_thread(self, monkeypatch):
+        _use_lane(monkeypatch, True)
+        seen = []
+
+        def inner(side):
+            def half(lo, hi):
+                seen.append((side, lo, hi, threading.current_thread().name))
+
+            bpmodel._halves(4, half)
+            return bpmodel._side_by_side(lambda: side, lambda: side)
+
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(bpmodel._side_by_side(lambda: inner("mine"), lambda: inner("theirs"))),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "a nested pair deadlocked"
+        assert results == [(("mine", "mine"), ("theirs", "theirs"))]
+        mine = [(lo, hi, name) for side, lo, hi, name in seen if side == "mine"]
+        theirs = [(lo, hi, name) for side, lo, hi, name in seen if side == "theirs"]
+        assert mine == [(0, 4, worker.name)]
+        assert theirs == [(0, 4, "bpnet-lane")]
+
+    def test_two_training_threads_each_get_serial_bits(self, rng, monkeypatch):
+        params = init_params(53)
+        batches = [(rng.standard_normal((b, 10, FEATURE_DIM)), 100.0 + 10.0 * rng.standard_normal((b, 10, 2)))
+                   for b in (32, 17, 32, 9)]
+
+        def run(order):
+            return [_step_bits(params, *batches[i]) for i in order]
+
+        _use_lane(monkeypatch, False)
+        serial = [run((0, 1, 2, 3)), run((3, 2, 1, 0))]
+        _use_lane(monkeypatch, True)
+        results = [None, None]
+
+        def train_in_thread(slot, order):
+            results[slot] = run(order)
+
+        threads = [threading.Thread(target=train_in_thread, args=(slot, order), daemon=True)
+                   for slot, order in enumerate([(0, 1, 2, 3), (3, 2, 1, 0)])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller-half", "lane-half"])
+    def test_an_error_in_either_half_arrives_after_both_finished(self, monkeypatch, failing):
+        _use_lane(monkeypatch, True)
+        finished = []
+
+        def half(lo, hi):
+            if lo == 2 * failing:
+                raise ValueError(f"half {failing}")
+            time.sleep(0.05)
+            finished.append((lo, hi))
+
+        with pytest.raises(ValueError, match=f"half {failing}"):
+            bpmodel._halves(4, half)
+        assert finished == [(2 - 2 * failing, 4 - 2 * failing)]
+        # The lane is free again: the next pair runs on it.
+        names = bpmodel._side_by_side(lambda: threading.current_thread().name,
+                                      lambda: threading.current_thread().name)
+        assert names == (threading.current_thread().name, "bpnet-lane")
+
+    def test_the_lane_keeps_nothing_a_finished_pair_closed_over(self, monkeypatch):
+        _use_lane(monkeypatch, True)
+
+        def run_pair():
+            block = np.ones(1000)
+
+            def half(lo, hi):
+                block[lo:hi] *= 2.0
+
+            bpmodel._halves(block.size, half)
+            assert (block == 2.0).all()
+            return weakref.ref(block)
+
+        ref = run_pair()
+        assert ref() is None
 
 
 class TestInference:
