@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import os
 import shutil
@@ -39,6 +40,7 @@ from bpnet.segmentation import (
     SegmentationError,
     Sequences,
     build_sequences,
+    detect_ppg_peaks,
     load_dataset,
     save_dataset,
     split_and_standardize,
@@ -133,11 +135,13 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
         raise DataError(f"no .csv or .hea records under {src}")
 
     out = Path(config.out_dir)
-    names = []
+    sources: dict[str, Path] = {}
     with _replaced_tree(out / "raw") as raw:
         for path in files:
             record = _load_record_file(path, config.fs)
             name = record.descriptor.record_name
+            if name in sources:
+                raise DataError(f"files {sources[name]} and {path} both hold record {name}")
             if record.descriptor.sampling_rate != config.fs:
                 raise DataError(
                     f"record {name} is sampled at {record.descriptor.sampling_rate:g} Hz, "
@@ -152,7 +156,8 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
                 np.save(rec_dir / "abp.npy", triple.abp)
             meta = {"fs": record.descriptor.sampling_rate, "name": name}
             (rec_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-            names.append(name)
+            sources[name] = path
+    names = list(sources)
     written = [str(out / "raw" / name / f"{channel}.npy") for name in names for channel in ("ecg", "ppg")]
     _update_manifest(config, "ingest", [str(p) for p in files], written)
     return names
@@ -230,36 +235,76 @@ def stage_preprocess(config: PipelineConfig) -> list[str]:
     return names
 
 
-def stage_segment(config: PipelineConfig) -> DatasetSplit:
-    """Two-cycle segmentation per window, then split and standardize."""
-    names = _record_names(config, "pre", "preprocess")
-    out = Path(config.out_dir)
+def _segment_channels(pre_dir: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    abp_path = pre_dir / "abp.npy"
+    if not abp_path.exists():
+        raise DataError(f"record {pre_dir.name} has no ABP channel; cannot build targets")
+    return np.load(pre_dir / "ecg.npy"), np.load(pre_dir / "ppg.npy"), np.load(abp_path)
+
+
+def _window_peaks(config: PipelineConfig, pre: Path, names: list[str]) -> tuple[dict[str, list], int]:
+    """Each record's finite windows with their PPG peaks, and the rows they bound.
+
+    Per record: [(window offset, peak indices, or None where detection
+    failed)].  A window with P peaks gives P-2 rows, and only one with at
+    least M of them can give a sequence, so the sum of those counts bounds
+    the row table.  One record's channels are held at a time.
+    """
     window = config.window_samples()
-    parts = []
+    found: dict[str, list] = {}
+    rows = 0
     for name in names:
-        pre_dir = out / "pre" / name
-        abp_path = pre_dir / "abp.npy"
-        if not abp_path.exists():
-            raise DataError(f"record {name} has no ABP channel; cannot build targets")
-        ecg = np.load(pre_dir / "ecg.npy")
-        ppg = np.load(pre_dir / "ppg.npy")
-        abp = np.load(abp_path)
+        ecg, ppg, abp = _segment_channels(pre / name)
+        found[name] = []
         for lo in range(0, ecg.size - window + 1, window):
             hi = lo + window
             if not all(np.all(np.isfinite(x[lo:hi])) for x in (ecg, ppg, abp)):
                 continue  # a window preprocess dropped, or a gap in the ABP
             try:
+                peaks = detect_ppg_peaks(ppg[lo:hi], config.fs)
+            except SegmentationError:
+                peaks = None
+            else:
+                rows += peaks.size - 2 if peaks.size - 2 >= config.m else 0
+            found[name].append((lo, peaks))
+    return found, rows
+
+
+def _window_parts(config: PipelineConfig, pre: Path, found: dict[str, list]):
+    """Each window's `build_sequences` result that holds a sequence, in record and window order."""
+    window = config.window_samples()
+    for name, windows in found.items():
+        ecg, ppg, abp = _segment_channels(pre / name)
+        for lo, peaks in windows:
+            hi = lo + window
+            try:
+                # A window whose detection failed passes no peaks: detection runs again and raises.
                 part = build_sequences(
                     ecg[lo:hi], ppg[lo:hi], abp[lo:hi], config.fs, config.m,
-                    patient_id=name, index_offset=lo,
+                    patient_id=name, index_offset=lo, peaks=peaks,
                 )
             except SegmentationError:
                 continue  # unusable window; sequences never straddle windows
             if len(part):
-                parts.append(part)
-    if not parts:
+                yield part
+        del ecg, ppg, abp  # before the next record's channels load
+
+
+def stage_segment(config: PipelineConfig) -> DatasetSplit:
+    """Two-cycle segmentation per window, then split and standardize.
+
+    The row table is reserved once, at the bound `_window_peaks` finds, and
+    each window's sequences are copied in as soon as they are built, so the
+    cohort's rows are never held twice.
+    """
+    names = _record_names(config, "pre", "preprocess")
+    out = Path(config.out_dir)
+    found, rows = _window_peaks(config, out / "pre", names)
+    parts = _window_parts(config, out / "pre", found)
+    head = next(parts, None)
+    if head is None:
         raise DataError("no usable sequences in any window")
-    samples = Sequences.concat(parts)
+    samples = Sequences.concat(itertools.chain([head], parts), rows)
     split = split_and_standardize(
         samples, (config.split_train, config.split_validation, config.split_test)
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import struct
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,35 @@ class Sequences:
         return self.targets[self.rows()]
 
     @classmethod
-    def concat(cls, parts: list["Sequences"]) -> "Sequences":
-        """One table holding every part's rows and sequences, in order."""
-        offsets = np.cumsum([0] + [len(p.vectors) for p in parts[:-1]])
+    def concat(cls, parts: Iterable["Sequences"], rows: int | None = None) -> "Sequences":
+        """One table holding every part's rows and sequences, in order.
+
+        With `rows`, a table of that many rows is reserved up front and each
+        part is copied in as it arrives, so a generator's parts need not all
+        be alive at once; `rows` must be at least their total row count, and
+        the returned table is cut to that total.  Without it, the parts are
+        listed and counted first.
+        """
+        if rows is None:
+            parts = list(parts)
+            rows = sum(len(p.vectors) for p in parts)
+        vectors, targets = np.empty((rows, FEATURE_DIM)), np.empty((rows, 2))
+        first, patient, start = [], [], []
+        used, m = 0, None
+        for part in parts:
+            n = len(part.vectors)
+            if used + n > rows:
+                raise ValueError(f"parts hold more than the {rows} rows reserved")
+            vectors[used : used + n] = part.vectors
+            targets[used : used + n] = part.targets
+            first.append(part.first + used)
+            patient.append(part.patient)
+            start.append(part.start)
+            used, m = used + n, part.m
+        if m is None:
+            raise ValueError("no parts to join")
         return cls(
-            np.concatenate([p.vectors for p in parts]),
-            np.concatenate([p.targets for p in parts]),
-            np.concatenate([p.first + o for p, o in zip(parts, offsets)]),
-            np.concatenate([p.patient for p in parts]),
-            np.concatenate([p.start for p in parts]),
-            parts[0].m,
+            vectors[:used], targets[:used], np.concatenate(first), np.concatenate(patient), np.concatenate(start), m
         )
 
 
@@ -183,6 +203,17 @@ def _dedupe_refractory(indices: list[int], strength: np.ndarray, refractory: int
     return np.asarray(kept, dtype=int)
 
 
+def _refine_peaks(x: np.ndarray, coarse: np.ndarray, half: int) -> np.ndarray:
+    """Each coarse index moved to the first maximum of ``x`` within ``half`` samples of it.
+
+    One gather over index windows clipped to the signal: a clipped window
+    repeats its edge index, and the first maximum along a row of
+    non-decreasing indices is np.argmax's over ``x[lo:hi]``, ties included.
+    """
+    window = np.clip(coarse[:, None] + np.arange(-half, half + 1), 0, x.size - 1)
+    return window[np.arange(coarse.size), np.argmax(x[window], axis=1)]
+
+
 def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
     """Systolic (positive) peak indices with a 0.3 s refractory floor.
 
@@ -196,12 +227,8 @@ def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
     candidates = _plateau_extrema(smooth)[0]
     coarse = _adaptive_pick(smooth, candidates, fs, PPG_REFRACTORY_S, signal_weight=0.5)
 
-    half = int(round(0.06 * fs))
-    refined = []
-    for idx in coarse:
-        lo, hi = max(0, idx - half), min(x.size, idx + half + 1)
-        refined.append(lo + int(np.argmax(x[lo:hi])))
-    peaks = _dedupe_refractory(refined, x, int(round(PPG_REFRACTORY_S * fs)))
+    refined = _refine_peaks(x, np.asarray(coarse, dtype=np.intp), int(round(0.06 * fs)))
+    peaks = _dedupe_refractory(refined.tolist(), x, int(round(PPG_REFRACTORY_S * fs)))
     if peaks.size < 3:
         raise SegmentationError(f"only {peaks.size} PPG peaks found; window unusable")
     return peaks
@@ -309,15 +336,19 @@ def build_sequences(
     m: int,
     patient_id: str = "",
     index_offset: int = 0,
+    peaks: np.ndarray | None = None,
 ) -> Sequences:
     """Sliding sequences of M two-cycle vectors, offset by one peak each.
 
     A window with P usable peaks yields P-2 vectors and max(0, P-2-M+1)
     sequences; any rejected member vector drops its containing sequences.
+    `peaks` takes ``detect_ppg_peaks(ppg, fs)`` when the caller already has
+    it; otherwise it is detected here.
     """
     if m < 1:
         raise ValueError(f"sequence length must be >= 1, got {m}")
-    peaks = detect_ppg_peaks(ppg, fs)
+    if peaks is None:
+        peaks = detect_ppg_peaks(ppg, fs)
     # With fewer than M+2 peaks the sliding count below is simply empty.
 
     lo, hi = peaks[:-2], peaks[2:]

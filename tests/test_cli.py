@@ -597,6 +597,24 @@ def test_ingest_rejects_record_at_other_rate(tmp_path, capsys):
     assert main(["ingest", "--config", str(cfg)]) == 0
 
 
+def test_ingest_rejects_two_files_of_one_record(tmp_path, synth_csv, capsys):
+    from bpnet.recordio import write_wfdb_record
+
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "p1.csv").write_text(synth_csv.read_text())
+    adc = np.arange(125 * 20) % 100
+    header, payload = write_wfdb_record("p1", 125.0, ["II", "PLETH"], [adc, adc], fmt=16)
+    (data / "p1.hea").write_bytes(header)
+    (data / "p1.dat").write_bytes(payload)
+    cfg = _write_config(tmp_path, data)
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(data / "p1.csv") in err and str(data / "p1.hea") in err and "record p1" in err
+    out = tmp_path / "out"
+    assert not (out / "raw").exists() and not (out / "raw.tmp").exists()
+
+
 @pytest.mark.parametrize(
     "cached",
     [

@@ -1,3 +1,4 @@
+import shutil
 import struct
 import tracemalloc
 import warnings
@@ -9,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bpnet import segmentation
+from bpnet.config import parse_config
+from bpnet.pipeline import stage_segment
 from bpnet.segmentation import (
     FEATURE_DIM,
     ChannelStats,
@@ -16,6 +19,7 @@ from bpnet.segmentation import (
     SegmentationError,
     Sequences,
     _plateau_extrema,
+    _refine_peaks,
     build_sequences,
     detect_ppg_peaks,
     load_dataset,
@@ -25,6 +29,7 @@ from bpnet.segmentation import (
     span_targets,
     split_and_standardize,
 )
+from bpnet.synthetic import SyntheticConfig, generate
 
 FS = 125.0
 
@@ -67,6 +72,24 @@ class TestPpgPeaks:
     def test_flat_signal_rejected(self):
         with pytest.raises(SegmentationError, match="PPG peaks"):
             detect_ppg_peaks(np.zeros(int(8 * FS)), FS)
+
+    def test_refine_matches_per_peak_loop(self):
+        """The gathered refine step picks np.argmax's index, at both edges and among ties."""
+
+        def loop(x, coarse, half):
+            refined = []
+            for idx in coarse:
+                lo, hi = max(0, idx - half), min(x.size, idx + half + 1)
+                refined.append(lo + int(np.argmax(x[lo:hi])))
+            return refined
+
+        rng = np.random.default_rng(11)
+        for _ in range(5000):
+            x = rng.integers(0, 4, rng.integers(1, 60)).astype(float)
+            half = int(rng.integers(0, 12))
+            coarse = np.unique(np.concatenate([[0, x.size - 1], rng.integers(0, x.size, rng.integers(0, 6))]))
+            assert _refine_peaks(x, coarse, half).tolist() == loop(x, coarse, half), (x, coarse, half)
+        assert _refine_peaks(np.zeros(5), np.zeros(0, dtype=np.intp), 2).size == 0
 
 
 def _scan_maxima(x):
@@ -222,6 +245,18 @@ class TestSequences:
         seqs = build_sequences(ecg, ppg, abp, FS, 4, patient_id="p")
         starts = [int(s.start) for s in seqs]
         assert all(b > a for a, b in zip(starts, starts[1:]))
+
+    def test_given_peaks_equal_detected(self):
+        ecg, ppg, abp = _aligned_triple(20)
+        abp[300:700] = 400.0  # some rejected spans
+        detected = build_sequences(ecg, ppg, abp, FS, 3, patient_id="p", index_offset=80)
+        given = build_sequences(
+            ecg, ppg, abp, FS, 3, patient_id="p", index_offset=80, peaks=detect_ppg_peaks(ppg, FS)
+        )
+        assert given.m == detected.m and 0 < len(given) < 16  # 18 rows, 16 sequences unless rejected
+        for field in ("vectors", "targets", "first", "patient", "start"):
+            a, b = getattr(given, field), getattr(detected, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 class TestRejectedVectors:
@@ -478,6 +513,24 @@ class TestSequencesTable:
         assert np.array_equal(both.input_array(), np.concatenate([a.input_array(), b.input_array()]))
         assert list(both.patient) == ["a"] * 3 + ["b"] * 4
 
+    def test_concat_generator_equals_list(self):
+        parts = [
+            _toy_samples(3, patient="a", m=2),
+            _toy_samples(4, patient="bb", m=2, rng=np.random.default_rng(5)),
+            _toy_samples(2, patient="c", m=2, start=9, rng=np.random.default_rng(6)),
+        ]
+        listed = Sequences.concat(parts)
+        reserved = Sequences.concat((p for p in parts), 20)  # 12 rows used
+        assert len(reserved.vectors) == len(listed.vectors) == 12
+        for field in ("vectors", "targets", "first", "patient", "start"):
+            a, b = getattr(reserved, field), getattr(listed, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert reserved.m == listed.m == 2
+        with pytest.raises(ValueError, match="11 rows reserved"):
+            Sequences.concat(iter(parts), 11)
+        with pytest.raises(ValueError, match="no parts"):
+            Sequences.concat(iter([]), 5)
+
     def test_shared_rows_standardized_once(self):
         samples = _toy_samples(50)
         raw = samples.input_array().copy()
@@ -689,3 +742,92 @@ class TestDatasetErrors:
         )
         with pytest.raises(DatasetError):
             load_dataset(truncated)
+
+
+WINDOW = 2000  # 16 s at 125 Hz, the M=10 window
+
+
+@pytest.fixture(scope="module")
+def pre_cohort(tmp_path_factory):
+    """A six-record `pre/` tree, 240 s each, with three kinds of unusable window.
+
+    p1's window 2 has a NaN ECG sample (as preprocess writes a dropped window),
+    p2's window 3 has a flat ABP, so every span fails its targets although its
+    peaks would give enough rows, and p3's window 4 has a flat PPG, so peak
+    detection fails there.
+    """
+    pre = tmp_path_factory.mktemp("cohort") / "pre"
+    for i, hr in enumerate((64.0, 72.0, 80.0, 88.0, 96.0, 104.0)):
+        rec = generate(SyntheticConfig(duration_s=240.0, heart_rate_bpm=hr, seed=31 + i))
+        ecg, ppg, abp = rec.ecg.copy(), rec.ppg.copy(), rec.abp.copy()
+        if i == 1:
+            ecg[2 * WINDOW + 700] = np.nan
+        if i == 2:
+            abp[3 * WINDOW : 4 * WINDOW] = 93.0
+        if i == 3:
+            ppg[4 * WINDOW : 5 * WINDOW] = 0.5
+        (pre / f"p{i}").mkdir(parents=True)
+        for name, x in (("ecg", ecg), ("ppg", ppg), ("abp", abp)):
+            np.save(pre / f"p{i}" / f"{name}.npy", x)
+    return pre
+
+
+def _segment_config(tmp_path, pre):
+    shutil.copytree(pre, tmp_path / "out" / "pre")
+    return parse_config(f"train.m = 10\nout.dir = {tmp_path / 'out'}\n")
+
+
+def _list_assembled(config, pre, path):
+    """The dataset built by holding every window's parts in a list and joining them once."""
+    parts = []
+    for name in sorted(p.name for p in pre.iterdir()):
+        ecg, ppg, abp = (np.load(pre / name / f"{c}.npy") for c in ("ecg", "ppg", "abp"))
+        for lo in range(0, ecg.size - WINDOW + 1, WINDOW):
+            hi = lo + WINDOW
+            if not all(np.isfinite(x[lo:hi]).all() for x in (ecg, ppg, abp)):
+                continue
+            try:
+                part = build_sequences(ecg[lo:hi], ppg[lo:hi], abp[lo:hi], FS, 10, patient_id=name, index_offset=lo)
+            except SegmentationError:
+                continue
+            if len(part):
+                parts.append(part)
+    fractions = (config.split_train, config.split_validation, config.split_test)
+    save_dataset(split_and_standardize(Sequences.concat(parts), fractions), path)
+
+
+class TestStageSegment:
+    def test_reserved_table_bytes_equal_list_assembly(self, tmp_path, pre_cohort, monkeypatch):
+        config = _segment_config(tmp_path, pre_cohort)
+        reserved = []
+        concat = Sequences.concat.__func__
+
+        def spy(cls, parts, rows=None):
+            reserved.append(rows)
+            return concat(cls, parts, rows)
+
+        monkeypatch.setattr(Sequences, "concat", classmethod(spy))
+        split = stage_segment(config)
+        monkeypatch.undo()
+        # The flat-ABP window's rows are reserved but hold no sequence.
+        assert reserved[0] > len(split.train.vectors) > 0
+        _list_assembled(config, pre_cohort, tmp_path / "ref.bpseq")
+        out = tmp_path / "out"
+        assert (out / "dataset.bpseq").read_bytes() == (tmp_path / "ref.bpseq").read_bytes()
+        manifest = (out / "dataset.bpseq.manifest.csv").read_text()
+        assert manifest == (tmp_path / "ref.bpseq.manifest.csv").read_text()
+        starts = {(row.split(",")[0], int(row.split(",")[1]) // WINDOW) for row in manifest.splitlines()[1:]}
+        assert {("p0", 2), ("p2", 2), ("p3", 3)} <= starts
+        assert not {("p1", 2), ("p2", 3), ("p3", 4)} & starts
+
+    def test_traced_peak_at_most_130_percent_of_the_table(self, tmp_path, pre_cohort):
+        config = _segment_config(tmp_path, pre_cohort)
+        tracemalloc.start()
+        try:
+            split = stage_segment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = split.train.vectors.nbytes + split.train.targets.nbytes
+        assert table > 6 * 2**20
+        assert peak <= 1.3 * table, (peak, table, peak / table)
