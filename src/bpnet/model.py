@@ -22,15 +22,15 @@ A training step lives in one caller-owned buffer, a `StepArena`: the forward
 caches, the backward scratch and every gradient are views into it, so a step
 allocates no activation arrays (as cuDNN's workspace and reserve space do;
 Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
-Inference runs the same LSTM time loop without the backward cache.
+Validation and inference run the same forward, an arena's batch at a time.
 
 When numpy's OpenBLAS runs each product on one thread and a second CPU is
 free, independent halves of the work run side by side on one helper thread:
 the backward LSTM direction beside the forward one, in both passes, and half
-of Adam's update; the dense layer, the second LSTM, the clip's scale and the
-inference time loops by row or batch halves.  A product is split by rows only
-where a one-time probe shows that the BLAS gives the halves the bits of the
-whole product (`_halves_exact`), so the bits are those of the serial order.
+of Adam's update; the dense layer, the second LSTM and the clip's scale by
+row or batch halves.  A product is split by rows only where a one-time probe
+shows that the BLAS gives the halves the bits of the whole product
+(`_halves_exact`), so the bits are those of the serial order.
 """
 
 from __future__ import annotations
@@ -413,11 +413,12 @@ class StepArena:
     with ``out=``, so nothing is zeroed.  A smaller batch takes the leading
     part of the buffer.  A cache, its outputs and its gradients stay valid
     until the next `forward_batch` on the same arena; a second
-    `backward_batch` on one cache rewrites the gradients.
+    `backward_batch` on one cache rewrites the gradients.  Validation and
+    inference run through an arena `batch` sequences at a time.
     """
 
     def __init__(self, dims: tuple[int, int, int, int], batch: int, m: int):
-        self.dims = tuple(dims)
+        self.dims, self.batch = tuple(dims), batch
         self.buf = np.empty(_extent(_step_regions(self.dims, batch, m)))
         self.grads = ModelParams(self.dims, self.buf[: param_count(self.dims)])
 
@@ -447,14 +448,12 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tmp, split_input=False) -> None:
-    """One LSTM direction over time-major rows `x2` (M*B, Din).
+    """One LSTM direction over time-major rows `x2` (M*B, Din), keeping every step.
 
     The input product of every step goes into `gates` (M, B, 4H) at once, by
     row halves when `split_input`; the time loop activates it in place, by
-    batch halves.  Step t writes ``hidden[t]``, ``cells[t % len(cells)]`` and
-    ``tanh_c[t % len(tanh_c)]``: training keeps every step for the backward
-    pass, inference passes two cell rows and one tanh row.  `tmp` is (B, 4H)
-    scratch.
+    batch halves, and writes step t's ``cells``, ``tanh_c`` and ``hidden``
+    (M, B, H).  `tmp` is (B, 4H) scratch.
     """
     M, B, _ = gates.shape
     H = w.hidden
@@ -473,7 +472,7 @@ def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tm
     def steps(lo, hi):
         r = tmp[lo:hi]
         for t in range(M):
-            z, c = gates[t, lo:hi], cells[t % len(cells), lo:hi]
+            z, c = gates[t, lo:hi], cells[t, lo:hi]
             if t:
                 np.matmul(hidden[t - 1, lo:hi], w.wh, out=r)
                 z += r
@@ -483,9 +482,9 @@ def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tm
             z += shift
             np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=c)
             if t:
-                np.multiply(z[:, H : 2 * H], cells[(t - 1) % len(cells), lo:hi], out=r[:, :H])
+                np.multiply(z[:, H : 2 * H], cells[t - 1, lo:hi], out=r[:, :H])
                 c += r[:, :H]
-            tc = tanh_c[t % len(tanh_c), lo:hi]
+            tc = tanh_c[t, lo:hi]
             np.tanh(c, out=tc)
             np.multiply(z[:, 3 * H :], tc, out=hidden[t, lo:hi])
 
@@ -594,9 +593,12 @@ class ForwardCache:
     views: dict            # the step's views into the arena
 
 
-def _check_inputs(params: ModelParams, x: np.ndarray) -> None:
-    if x.ndim != 3 or x.shape[2] != params.input_dim:
-        raise ModelError(f"expected (B, M, {params.input_dim}) input, got {x.shape}")
+def _check_inputs(params: ModelParams, x) -> tuple[int, int]:
+    """(B, M) of a (B, M, input_dim) array or a Sequences, whose rows must be input_dim wide."""
+    shape = (len(x), x.m, *x.vectors.shape[1:]) if isinstance(x, Sequences) else x.shape
+    if len(shape) != 3 or shape[2] != params.input_dim:
+        raise ModelError(f"expected (B, M, {params.input_dim}) input, got {shape}")
+    return shape[:2]
 
 
 def _dense_relu(params: ModelParams, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -613,15 +615,15 @@ def _head(params: ModelParams, h2: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(
-    params: ModelParams, x: np.ndarray, arena: Optional[StepArena] = None
+    params: ModelParams, x, arena: Optional[StepArena] = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass over a (B, M, input_dim) batch; outputs are (B, M, out).
+    """Forward pass over a (B, M, input_dim) batch or a Sequences; outputs are (B, M, out).
 
-    The outputs and the cache are views into `arena`, valid until the next
+    A Sequences is gathered from its row table straight into the arena.  The
+    outputs and the cache are views into `arena`, valid until the next
     forward_batch on it; without one, the call allocates its own.
     """
-    _check_inputs(params, x)
-    B, M, _ = x.shape
+    B, M = _check_inputs(params, x)
     if arena is None:
         arena = StepArena(params.dims, B, M)
     elif arena.dims != params.dims:
@@ -629,7 +631,11 @@ def forward_batch(
     v = arena.views(B, M)
     H = params.hidden
     x2 = v["x"]
-    np.copyto(x2.reshape(M, B, -1), x.transpose(1, 0, 2))
+    if isinstance(x, Sequences):
+        # Row indices are in range (load_dataset checks them); "clip" writes unbuffered.
+        np.take(x.vectors, x.rows().T, axis=0, out=x2.reshape(M, B, -1), mode="clip")
+    else:
+        np.copyto(x2.reshape(M, B, -1), x.transpose(1, 0, 2))
     if not np.isfinite(x2).all():
         raise ModelError("non-finite input features")
     dense = v["dense"]
@@ -773,80 +779,27 @@ def adam_step(
     return params, state
 
 
-INFER_CHUNK = 256  # sequences per inference forward, to bound activation memory
+INFER_CHUNK = 32  # sequences per inference forward without an arena: ~17 MB at M=10
 
 
-def _infer_regions(dims: tuple, n: int, m: int) -> list[tuple[str, tuple]]:
-    """What an inference forward over n sequences of m steps keeps."""
-    d_in, units, hidden, out = dims
-    mn = m * n
-    return [
-        ("x", (mn * max(d_in, 4 * hidden),)),    # input rows, then each layer's gate block
-        ("dense", (mn * max(units, hidden),)),  # ReLU output, then the second LSTM's hidden states
-        ("bi", (m, n, 2 * hidden)),
-        ("cells", (2, n, hidden)),
-        ("tanh_c", (1, n, hidden)),
-        ("tmp", (n * max(4 * hidden, units),)),
-        ("head", (m, n, out)),
-    ]
-
-
-def _infer_chunk(params: ModelParams, v: dict, m: int, n: int) -> np.ndarray:
-    """Time-major outputs (M, n, out) of the input rows in ``v["x"]``, keeping no backward cache.
-
-    The arithmetic is forward_batch's, in the same order, so the bits match.
-    """
-    d_in, units, hidden, _ = params.dims
-    mn = m * n
-    dense = _dense_relu(params, v["x"][: mn * d_in].reshape(mn, d_in), v["dense"][: mn * units].reshape(mn, units))
-    gates = v["x"][: mn * 4 * hidden].reshape(m, n, 4 * hidden)  # the input rows are dead
-    tmp = v["tmp"][: n * 4 * hidden].reshape(n, 4 * hidden)
-    bi = v["bi"]
-    _lstm_layer(dense, params.fw, "forward lstm", gates, v["cells"], v["tanh_c"], bi[:, :, :hidden], tmp)
-    # Reverse the steps in place for the backward direction's input product.
-    dense3, row = dense.reshape(m, n, units), v["tmp"][: n * units].reshape(n, units)
-    for t in range(m // 2):
-        np.copyto(row, dense3[t])
-        np.copyto(dense3[t], dense3[m - 1 - t])
-        np.copyto(dense3[m - 1 - t], row)
-    _lstm_layer(dense, params.bw, "backward lstm", gates, v["cells"], v["tanh_c"], bi[::-1, :, hidden:], tmp)
-    h2 = v["dense"][: mn * hidden].reshape(m, n, hidden)  # the dense activations are dead
-    _lstm_layer(bi.reshape(mn, 2 * hidden), params.lstm2, "second lstm", gates, v["cells"], v["tanh_c"], h2, tmp)
-    return _head(params, h2, v["head"])
-
-
-def _outputs(params: ModelParams, x) -> np.ndarray:
+def _outputs(params: ModelParams, x, arena: Optional[StepArena] = None) -> np.ndarray:
     """forward_batch outputs (N, M, out) for (N, M, input_dim) inputs or a Sequences.
 
-    Runs INFER_CHUNK sequences at a time through one buffer, gathering each
-    chunk time-major straight into it; the layers keep no backward cache.
+    Runs `arena`'s batch of sequences at a time through it, or INFER_CHUNK
+    through one of its own.
     """
-    if isinstance(x, Sequences):
-        n, m, rows = len(x), x.m, x.rows()
-    else:
-        _check_inputs(params, x)
-        n, m = x.shape[:2]
-    d_in = params.input_dim
-    buf = np.empty(_extent(_infer_regions(params.dims, min(n, INFER_CHUNK), m)))
+    n, m = _check_inputs(params, x)
+    if arena is None:
+        arena = StepArena(params.dims, max(1, min(n, INFER_CHUNK)), m)
     outputs = np.empty((n, m, params.dims[3]))
-    for lo in range(0, n, INFER_CHUNK):
-        b = min(INFER_CHUNK, n - lo)
-        v = _carve(buf, _infer_regions(params.dims, b, m))
-        xt = v["x"][: m * b * d_in].reshape(m, b, d_in)
-        if isinstance(x, Sequences):
-            # Row indices are in range (load_dataset checks them); "clip" writes unbuffered.
-            np.take(x.vectors, rows[lo : lo + b].T, axis=0, out=xt, mode="clip")
-        else:
-            np.copyto(xt, x[lo : lo + b].transpose(1, 0, 2))
-        if not np.isfinite(xt).all():
-            raise ModelError("non-finite input features")
-        np.copyto(outputs[lo : lo + b], _infer_chunk(params, v, m, b).transpose(1, 0, 2))
+    for lo in range(0, n, arena.batch):
+        outputs[lo : lo + arena.batch] = forward_batch(params, x[lo : lo + arena.batch], arena)[0]
     return outputs
 
 
-def _mean_loss(params: ModelParams, sequences: Sequences) -> float:
+def _mean_loss(params: ModelParams, sequences: Sequences, arena: StepArena) -> float:
     y = sequences.target_array()
-    return float(np.sum((_outputs(params, sequences) - y) ** 2)) / y.size
+    return float(np.sum((_outputs(params, sequences, arena) - y) ** 2)) / y.size
 
 
 def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, TrainHistory]:
@@ -854,9 +807,9 @@ def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, Trai
 
     Weights start from ``init_params(config.seed)``.  Batches reshuffle each
     epoch under the seeded generator and are gathered from the shared row
-    table one at a time; every step runs in one StepArena.  The parameters
-    with the best validation MSE are returned together with the per-epoch
-    loss history.
+    table straight into one StepArena, which each epoch's validation pass
+    reuses.  The parameters with the best validation MSE are returned
+    together with the per-epoch loss history.
     """
     if not dataset.train or not dataset.validation:
         raise ModelError("train and validation partitions must be non-empty")
@@ -877,7 +830,7 @@ def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, Trai
         for bi, lo in enumerate(range(0, n, config.batch_size)):
             batch = dataset.train[order[lo : lo + config.batch_size]]
             try:
-                outputs, cache = forward_batch(params, batch.input_array(), arena)
+                outputs, cache = forward_batch(params, batch, arena)
                 grads, loss = backward_batch(params, cache, batch.target_array())
             except NonFiniteActivation as exc:
                 raise TrainingDiverged(epoch, bi) from exc
@@ -888,7 +841,7 @@ def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, Trai
             epoch_losses.append(loss)
         history.train_loss.append(float(np.mean(epoch_losses)))
 
-        val = _mean_loss(params, dataset.validation)
+        val = _mean_loss(params, dataset.validation, arena)
         if not np.isfinite(val):
             raise TrainingDiverged(epoch, -1)
         history.val_loss.append(val)
@@ -930,7 +883,7 @@ class TrainedModel:
 
         A Sequences is gathered from its row table a chunk at a time, never M-fold as a whole.
         """
-        m = x.m if isinstance(x, Sequences) else x.shape[1]
+        _, m = _check_inputs(self.params, x)
         if m != self.m:
             raise ModelError(f"batch M={m} does not match trained M={self.m}")
         estimates = _outputs(self.params, x)[:, -1, :]

@@ -189,6 +189,19 @@ def test_eval_non_finite_estimate_exits_2(tmp_path, synth_csv, capsys):
     assert "non-finite prediction" in capsys.readouterr().err
 
 
+def test_eval_model_of_another_input_width_exits_2(tmp_path, synth_csv, capsys):
+    from bpnet.model import TrainedModel, init_params, load_model, save_model
+
+    cfg, model_path = _trained_run(tmp_path, synth_csv)
+    trained = load_model(model_path)
+    save_model(TrainedModel(init_params(0, input_dim=512), trained.m, trained.stats), model_path)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "expected (B, M, 512) input" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
 def test_eval_overflowing_estimate_exits_2_and_keeps_artifacts(tmp_path, synth_csv, capsys):
     from bpnet.model import load_model, save_model
 

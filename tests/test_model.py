@@ -557,7 +557,7 @@ class TestHalvesSweep:
         inline, lane = _lane_and_inline(monkeypatch, lambda: _step_bits(params, x, y))
         assert inline == lane
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 255, INFER_CHUNK, 257, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, INFER_CHUNK, INFER_CHUNK + 1, 255, 256, 257, 300])
     def test_inference_bits_with_and_without_the_lane(self, rng, monkeypatch, n):
         params = init_params(51)
         x = rng.standard_normal((n, 10, FEATURE_DIM))
@@ -686,13 +686,36 @@ class TestLaneMechanics:
 
 
 class TestInference:
-    @pytest.mark.parametrize("n", [1, 33, INFER_CHUNK, 300])
+    @pytest.mark.parametrize("n", [1, 33, INFER_CHUNK, 256, 300])
     def test_outputs_equal_forward_batch_bit_for_bit(self, rng, n):
+        # Against forward_batch chunk by chunk: one whole-n forward is not the
+        # reference, since a 1-sequence tail chunk takes another BLAS path.
         model = TrainedModel(init_params(33), m=10, stats=ChannelStats(0.0, 1.0, 0.0, 1.0))
         x = rng.standard_normal((n, 10, FEATURE_DIM))
-        expected, _ = forward_batch(model.params, x)
+        chunks = [forward_batch(model.params, x[lo : lo + INFER_CHUNK])[0] for lo in range(0, n, INFER_CHUNK)]
+        expected = np.concatenate(chunks)
         assert _same_bits(_outputs(model.params, x), expected)
         assert _same_bits(model.predict_batch(x), expected[:, -1, :])
+
+    def test_predict_batch_of_no_sequences(self, rng):
+        dataset = _toy_dataset(rng, count=8, m=4)
+        model = TrainedModel(init_params(37, input_dim=FEATURE_DIM), m=4, stats=dataset.stats)
+        for empty in (dataset.test[:0], np.empty((0, 4, FEATURE_DIM))):
+            assert model.predict_batch(empty).shape == (0, 2)
+
+    def test_forward_batch_gathers_sequences_like_their_input_array(self, rng):
+        dataset = _toy_dataset(rng, count=40, m=4)
+        params = init_params(38, input_dim=FEATURE_DIM)
+        seqs = dataset.train[rng.permutation(40)[:17]]
+        out, cache = forward_batch(params, seqs)
+        ref_out, ref_cache = forward_batch(params, seqs.input_array())
+        assert _same_bits(out, ref_out) and _same_bits(cache.x, ref_cache.x)
+
+    def test_sequences_of_another_width_rejected(self, rng):
+        dataset = _toy_dataset(rng, count=8, m=4)
+        model = TrainedModel(init_params(39, input_dim=FEATURE_DIM - 1), m=4, stats=dataset.stats)
+        with pytest.raises(ModelError, match=f"expected \\(B, M, {FEATURE_DIM - 1}\\) input"):
+            model.predict_batch(dataset.test)
 
     def test_outputs_gather_sequences_like_their_input_array(self, rng):
         dataset = _toy_dataset(rng, count=300, m=4)
@@ -751,6 +774,18 @@ class TestTrain:
         assert h1.train_loss == h2.train_loss
         for (_, a), (_, b) in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
+
+    def test_one_arena_serves_steps_and_validation(self, rng, monkeypatch):
+        built = []
+
+        class CountedArena(StepArena):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(args)
+
+        monkeypatch.setattr(bpmodel, "StepArena", CountedArena)
+        train(_toy_dataset(rng, count=20), TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=4))
+        assert built == [((FEATURE_DIM, 128, 128, 2), 8, 4)]
 
     def test_empty_partition_rejected(self, rng):
         dataset = _toy_dataset(rng)
