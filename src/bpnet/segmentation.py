@@ -177,29 +177,36 @@ def _adaptive_pick(
     threshold = noise_level + signal_weight * (signal_level - noise_level)
 
     accepted: list[int] = []
-    for idx in candidates:
+    last = 0.0  # the envelope at accepted[-1]
+    for idx, value in zip(candidates.tolist(), envelope[candidates].tolist()):
         if accepted and idx - accepted[-1] < refractory:
-            if envelope[idx] > envelope[accepted[-1]]:
-                accepted[-1] = int(idx)
+            if value > last:
+                accepted[-1], last = idx, value
             continue
-        if envelope[idx] > threshold:
-            accepted.append(int(idx))
-            signal_level = 0.125 * envelope[idx] + 0.875 * signal_level
+        if value > threshold:
+            accepted.append(idx)
+            last = value
+            signal_level = 0.125 * value + 0.875 * signal_level
         else:
-            noise_level = 0.125 * envelope[idx] + 0.875 * noise_level
+            noise_level = 0.125 * value + 0.875 * noise_level
         threshold = noise_level + signal_weight * (signal_level - noise_level)
     return accepted
 
 
-def _dedupe_refractory(indices: list[int], strength: np.ndarray, refractory: int) -> np.ndarray:
-    """Keep the stronger of any two detections closer than `refractory`."""
+def _dedupe_refractory(indices: list[int], values: list[float], refractory: int) -> np.ndarray:
+    """Keep the stronger of any two detections closer than `refractory`.
+
+    `indices` ascend and `values[j]` is the strength at `indices[j]`.
+    """
     kept: list[int] = []
-    for idx in sorted(indices):
+    last = 0.0  # the strength at kept[-1]
+    for idx, value in zip(indices, values):
         if kept and idx - kept[-1] < refractory:
-            if strength[idx] > strength[kept[-1]]:
-                kept[-1] = idx
+            if value > last:
+                kept[-1], last = idx, value
         else:
             kept.append(idx)
+            last = value
     return np.asarray(kept, dtype=int)
 
 
@@ -228,7 +235,8 @@ def detect_ppg_peaks(ppg: np.ndarray, fs: float) -> np.ndarray:
     coarse = _adaptive_pick(smooth, candidates, fs, PPG_REFRACTORY_S, signal_weight=0.5)
 
     refined = _refine_peaks(x, np.asarray(coarse, dtype=np.intp), int(round(0.06 * fs)))
-    peaks = _dedupe_refractory(refined.tolist(), x, int(round(PPG_REFRACTORY_S * fs)))
+    refined.sort()
+    peaks = _dedupe_refractory(refined.tolist(), x[refined].tolist(), int(round(PPG_REFRACTORY_S * fs)))
     if peaks.size < 3:
         raise SegmentationError(f"only {peaks.size} PPG peaks found; window unusable")
     return peaks
@@ -316,9 +324,12 @@ def span_targets(
         centre = (first[run] + last[run]) // 2
         beat = strength[centre] > level[live][owner]
         centre, owner = centre[beat], owner[beat]
-        bounds = np.searchsorted(owner, np.arange(live.size + 1))
+        bounds = np.searchsorted(owner, np.arange(live.size + 1)).tolist()
+        # A span's centres ascend: runs come in time order.
+        centres, values = centre.tolist(), strength[centre].tolist()
         for k, s in enumerate(live):
-            picked = _dedupe_refractory(centre[bounds[k] : bounds[k + 1]].tolist(), strength, spacing)
+            lo_k, hi_k = bounds[k], bounds[k + 1]
+            picked = _dedupe_refractory(centres[lo_k:hi_k], values[lo_k:hi_k], spacing)
             if picked.size:
                 pairs[s, col] = np.add.reduce(x[picked]) / picked.size  # np.mean's arithmetic
             else:

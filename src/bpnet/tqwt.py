@@ -17,6 +17,10 @@ Both directions work along the last axis, so a (K, N) stack of signals that
 share one Q goes through every FFT and band copy in one call.  Each level's
 geometry (lengths, bin counts, transition weights) is computed once per
 (padded length, Q, r, J) and kept in a bounded cache.
+
+Subband frequencies come from the cascaded magnitude response on an
+ascending frequency grid w, so each stage's passband, transition band and
+stopband are contiguous slices of it, found by np.searchsorted on w / alpha^m.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ class SubbandSet:
 def _theta(v: np.ndarray) -> np.ndarray:
     # Daubechies 2-vanishing-moment frequency response on [0, pi];
     # theta(v)^2 + theta(pi - v)^2 = 1 gives exact reconstruction.
-    return 0.5 * (1.0 + np.cos(v)) * np.sqrt(2.0 - np.cos(v))
+    c = np.cos(v)
+    return 0.5 * (1.0 + c) * np.sqrt(2.0 - c)
 
 
 def _next_pow2(n: int) -> int:
@@ -254,33 +259,24 @@ def reconstruct(subbands: SubbandSet, params: TqwtParams) -> np.ndarray:
     return _iudft(X)[..., : subbands.n_signal]
 
 
-def _h0_magnitude(w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """|H0| of one stage at normalized rad/sample frequency w; 0 outside [0, pi]."""
-    out = np.zeros_like(w)
-    lo_edge = (1.0 - beta) * np.pi
-    hi_edge = alpha * np.pi
-    out[w <= lo_edge] = 1.0
-    band = (w > lo_edge) & (w < hi_edge)
-    out[band] = _theta((w[band] + (beta - 1.0) * np.pi) / (alpha + beta - 1.0))
-    return out
-
-
-def _h1_magnitude(w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    out = np.zeros_like(w)
-    lo_edge = (1.0 - beta) * np.pi
-    hi_edge = alpha * np.pi
-    band = (w > lo_edge) & (w < hi_edge)
-    out[band] = _theta((hi_edge - w[band]) / (alpha + beta - 1.0))
-    out[(w >= hi_edge) & (w <= np.pi)] = 1.0
-    return out
-
-
-def level_response(freq_hz: np.ndarray, fs: float, params: TqwtParams, level: int) -> np.ndarray:
-    """Cascaded magnitude response of the `level`-th highpass subband."""
-    w = 2.0 * np.pi * np.asarray(freq_hz, dtype=float) / fs
-    mag = _h1_magnitude(w / params.alpha ** (level - 1), params.alpha, params.beta)
+def _level_response(w: np.ndarray, params: TqwtParams, level: int) -> np.ndarray:
+    """Cascaded magnitude of the `level`-th highpass subband on `w`: H1 over the
+    bins it passes, times each earlier stage's H0 in stage order."""
+    alpha, beta = params.alpha, params.beta
+    lo_edge, hi_edge, width = (1.0 - beta) * np.pi, alpha * np.pi, alpha + beta - 1.0
+    mag = np.zeros_like(w)
+    u = w / alpha ** (level - 1)
+    lo, top, hi = u.searchsorted(lo_edge, "right"), u.searchsorted(hi_edge), u.searchsorted(np.pi, "right")
+    mag[lo:top] = _theta((hi_edge - u[lo:top]) / width)
+    mag[top:hi] = 1.0
     for m in range(level - 1):
-        mag *= _h0_magnitude(w / params.alpha**m, params.alpha, params.beta)
+        u = w[lo:hi] / alpha**m
+        # H0 is one through lo_edge (no multiply), theta below hi_edge and zero from there.
+        a, b = u.searchsorted(lo_edge, "right"), u.searchsorted(hi_edge)
+        if a < b:
+            mag[lo + a : lo + b] *= _theta((u[a:b] + (beta - 1.0) * np.pi) / width)
+        mag[lo + b : hi] = 0.0
+        hi = lo + b
     return mag
 
 
@@ -289,8 +285,9 @@ def subband_frequencies(params: TqwtParams, fs: float, level: int) -> tuple[floa
 
     The center follows the closed form alpha^level * (2 - beta) / (4 alpha) * fs.
     The cutoff is found numerically: the lowest frequency at which the
-    cascaded response crosses 1/sqrt(2) of its passband maximum, located on a
-    dense grid and refined by linear interpolation.
+    cascaded response crosses 1/sqrt(2) of its passband maximum, located on
+    a grid of fs / 2^18 Hz steps (a TqwtError if the grid cannot bracket it)
+    and refined by linear interpolation.
     """
     if not 1 <= level <= params.levels:
         raise TqwtError(f"level {level} out of range 1..{params.levels}")
@@ -299,13 +296,13 @@ def subband_frequencies(params: TqwtParams, fs: float, level: int) -> tuple[floa
     # The subband lives inside (0, alpha^(level-1) * fs / 2); keep a margin.
     f_top = params.alpha ** (level - 1) * fs / 2.0 * 1.05
     grid = np.arange(0.0, min(f_top, fs / 2.0), fs / 2**18)
-    mag = level_response(grid, fs, params, level)
+    mag = _level_response(2.0 * np.pi * grid / fs, params, level)
     k = int(np.argmax(mag))
+    if mag[k] == 0.0:  # mag[0] is always zero, so below the peak the crossing is bracketed
+        raise TqwtError(f"level {level} subband at Q={params.q:g} lies below the {fs / 2**18:.3g} Hz "
+                        "grid step; its lower 3 dB cutoff cannot be bracketed")
     target = mag[k] / math.sqrt(2.0)
-    below = np.nonzero(mag[: k + 1] <= target)[0]
-    if below.size == 0:
-        return center, 0.0
-    i = int(below[-1])
+    i = int(np.flatnonzero(mag[: k + 1] <= target)[-1])
     f_lo = grid[i] + (target - mag[i]) * (grid[i + 1] - grid[i]) / (mag[i + 1] - mag[i])
     return center, float(f_lo)
 

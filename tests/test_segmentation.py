@@ -18,6 +18,9 @@ from bpnet.segmentation import (
     DatasetError,
     SegmentationError,
     Sequences,
+    _adaptive_pick,
+    _dedupe_refractory,
+    _moving_average,
     _plateau_extrema,
     _refine_peaks,
     build_sequences,
@@ -302,6 +305,89 @@ def test_batched_resampling_equals_np_interp_bytes(data):
         for s, (a, b) in enumerate(zip(lo, hi)):
             ref = np.interp(np.linspace(0.0, b - a - 1.0, 256), np.arange(b - a, dtype=float), x[c, a:b])
             assert rows[c, s].tobytes() == ref.tobytes(), (c, s)
+
+
+# Reference: the pick loops as they were, indexing one numpy scalar per
+# candidate; the list-based loops must pick exactly the same indices.
+def _reference_adaptive_pick(envelope, candidates, fs, refractory_s, signal_weight):
+    if candidates.size == 0:
+        return []
+    refractory = int(round(refractory_s * fs))
+    lead = envelope[: min(envelope.size, int(2 * fs))]
+    signal_level = float(np.max(lead))
+    noise_level = float(np.mean(lead))
+    threshold = noise_level + signal_weight * (signal_level - noise_level)
+    accepted = []
+    for idx in candidates:
+        if accepted and idx - accepted[-1] < refractory:
+            if envelope[idx] > envelope[accepted[-1]]:
+                accepted[-1] = int(idx)
+            continue
+        if envelope[idx] > threshold:
+            accepted.append(int(idx))
+            signal_level = 0.125 * envelope[idx] + 0.875 * signal_level
+        else:
+            noise_level = 0.125 * envelope[idx] + 0.875 * noise_level
+        threshold = noise_level + signal_weight * (signal_level - noise_level)
+    return accepted
+
+
+def _reference_dedupe_refractory(indices, strength, refractory):
+    kept = []
+    for idx in sorted(indices):
+        if kept and idx - kept[-1] < refractory:
+            if strength[idx] > strength[kept[-1]]:
+                kept[-1] = idx
+        else:
+            kept.append(idx)
+    return np.asarray(kept, dtype=int)
+
+
+def _reference_detect_ppg_peaks(ppg, fs):
+    x = np.asarray(ppg, dtype=float)
+    smooth = _moving_average(x, int(round(0.04 * fs)))
+    coarse = _reference_adaptive_pick(smooth, _plateau_extrema(smooth)[0], fs, 0.3, signal_weight=0.5)
+    refined = _refine_peaks(x, np.asarray(coarse, dtype=np.intp), int(round(0.06 * fs)))
+    return _reference_dedupe_refractory(refined.tolist(), x, int(round(0.3 * fs)))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_peak_pick_loops_match_numpy_scalar_reference(data):
+    n = data.draw(st.integers(200, 1500), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    palette = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4), label="palette")
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    tie = rng.random(n) < 0.3
+    x[tie] = rng.choice(np.array(palette), n)[tie]
+    fs = data.draw(st.sampled_from([50.0, 125.0, 250.0]), label="fs")
+    refractory_s = data.draw(st.floats(0.0, 1.0), label="refractory_s")
+    weight = data.draw(st.floats(0.0, 1.0), label="signal_weight")
+    candidates = np.unique(rng.integers(0, n, data.draw(st.integers(0, n), label="n_candidates")))
+    got = _adaptive_pick(x, candidates, fs, refractory_s, weight)
+    assert got == _reference_adaptive_pick(x, candidates, fs, refractory_s, weight)
+    assert all(type(idx) is int for idx in got)
+
+    indices = rng.integers(0, n, data.draw(st.integers(0, 60), label="n_indices")).tolist()
+    refractory = data.draw(st.integers(1, 80), label="refractory")
+    order = sorted(indices)
+    kept = _dedupe_refractory(order, x[order].tolist(), refractory)
+    assert kept.tolist() == _reference_dedupe_refractory(indices, x, refractory).tolist()
+
+    want = _reference_detect_ppg_peaks(x, FS)
+    if want.size < 3:
+        with pytest.raises(SegmentationError):
+            detect_ppg_peaks(x, FS)
+    else:
+        assert detect_ppg_peaks(x, FS).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ppg_peaks_on_synthetic_windows_match_reference(seed):
+    ppg = generate(SyntheticConfig(duration_s=120.0, seed=seed)).ppg
+    for lo in range(0, ppg.size - 2000 + 1, 2000):
+        window = ppg[lo : lo + 2000]
+        assert detect_ppg_peaks(window, FS).tolist() == _reference_detect_ppg_peaks(window, FS).tolist()
 
 
 def _reference_targets(abp, lo, hi):

@@ -1,4 +1,8 @@
 import csv
+import importlib.util
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from bpnet.tqwt import (
     TqwtError,
     TqwtParams,
     _next_pow2,
+    _theta,
     build_q_lookup,
     decompose,
     reconstruct,
@@ -174,6 +179,106 @@ def test_geometry_mismatch_rejected(rng):
     bad = SubbandSet([h[:-2] for h in sb.highpass], sb.lowpass, sb.n_signal, sb.n_padded)
     with pytest.raises(TqwtError):
         reconstruct(bad, params)
+
+
+# Reference: the mask-based cascade the sliced evaluator replaced.  Each stage
+# is evaluated over the whole grid with boolean masks, in the same float64
+# operations and order.
+def _ref_theta(v):
+    return 0.5 * (1.0 + np.cos(v)) * np.sqrt(2.0 - np.cos(v))
+
+
+def _ref_h0_magnitude(w, alpha, beta):
+    out = np.zeros_like(w)
+    lo_edge = (1.0 - beta) * np.pi
+    hi_edge = alpha * np.pi
+    out[w <= lo_edge] = 1.0
+    band = (w > lo_edge) & (w < hi_edge)
+    out[band] = _ref_theta((w[band] + (beta - 1.0) * np.pi) / (alpha + beta - 1.0))
+    return out
+
+
+def _ref_h1_magnitude(w, alpha, beta):
+    out = np.zeros_like(w)
+    lo_edge = (1.0 - beta) * np.pi
+    hi_edge = alpha * np.pi
+    band = (w > lo_edge) & (w < hi_edge)
+    out[band] = _ref_theta((hi_edge - w[band]) / (alpha + beta - 1.0))
+    out[(w >= hi_edge) & (w <= np.pi)] = 1.0
+    return out
+
+
+def _ref_level_response(freq_hz, fs, params, level):
+    w = 2.0 * np.pi * np.asarray(freq_hz, dtype=float) / fs
+    mag = _ref_h1_magnitude(w / params.alpha ** (level - 1), params.alpha, params.beta)
+    for m in range(level - 1):
+        mag *= _ref_h0_magnitude(w / params.alpha**m, params.alpha, params.beta)
+    return mag
+
+
+def _ref_subband_frequencies(params, fs, level):
+    center = params.alpha**level * (2.0 - params.beta) / (4.0 * params.alpha) * fs
+    f_top = params.alpha ** (level - 1) * fs / 2.0 * 1.05
+    grid = np.arange(0.0, min(f_top, fs / 2.0), fs / 2**18)
+    mag = _ref_level_response(grid, fs, params, level)
+    k = int(np.argmax(mag))
+    target = mag[k] / math.sqrt(2.0)
+    i = int(np.nonzero(mag[: k + 1] <= target)[0][-1])
+    f_lo = grid[i] + (target - mag[i]) * (grid[i + 1] - grid[i]) / (mag[i + 1] - mag[i])
+    return center, float(f_lo)
+
+
+@pytest.mark.parametrize("fs", [125.0, 250.0, 360.0])
+@pytest.mark.parametrize("level", [6, 8, 10])
+@pytest.mark.parametrize("r", [3.0, 4.0])
+@pytest.mark.parametrize("q_max, step", [(1.4, 0.01), (3.0, 0.1)])
+def test_q_lookup_bit_equal_to_masked_reference(fs, level, r, q_max, step):
+    table = build_q_lookup(fs, level, 1.0, q_max, step, r)
+    qs = np.linspace(1.0, q_max, int(round((q_max - 1.0) / step)) + 1)
+    want = np.array([_ref_subband_frequencies(TqwtParams(q=float(q), r=r, levels=level), fs, level) for q in qs])
+    assert table.qs.tobytes() == qs.tobytes()
+    assert table.centers_hz.tobytes() == want[:, 0].tobytes()
+    assert table.lower3db_hz.tobytes() == want[:, 1].tobytes()
+
+
+def test_one_cosine_theta_bit_equal_to_two_cosine_form():
+    v = np.concatenate([np.linspace(0.0, np.pi, 100_001), np.random.default_rng(5).uniform(0.0, np.pi, 100_000)])
+    assert _theta(v).tobytes() == _ref_theta(v).tobytes()
+    for part in (v[:1], v[3:10], v[::7]):  # short, offset and strided inputs too
+        assert _theta(part).tobytes() == _ref_theta(part).tobytes()
+
+
+@pytest.mark.parametrize("level", [31, 40])
+def test_subband_below_grid_rejected_naming_level(level):
+    with pytest.raises(TqwtError, match=f"level {level} .*cannot be bracketed"):
+        subband_frequencies(TqwtParams(q=1.0, levels=level), 125.0, level)
+    with pytest.raises(TqwtError, match=f"level {level} "):
+        build_q_lookup(125.0, level)
+
+
+def _q_table_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "build_q_table.py"
+    spec = importlib.util.spec_from_file_location("build_q_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_q_table_script_exits_2_on_unbracketable_level(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "q.csv"
+    monkeypatch.setattr(sys, "argv", ["build_q_table.py", "--level", "40", "--out", str(out)])
+    assert _q_table_script().main() == 2
+    err = capsys.readouterr().err
+    assert "level 40" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_q_table_script_defaults_are_the_pipeline_table(tmp_path, monkeypatch, q_table):
+    out = tmp_path / "q.csv"
+    monkeypatch.setattr(sys, "argv", ["build_q_table.py", "--out", str(out)])
+    assert _q_table_script().main() == 0
+    q_table.to_csv(tmp_path / "want.csv")
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_level_out_of_range():
