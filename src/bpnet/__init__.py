@@ -8,9 +8,9 @@ evaluation (AAMI / BHS / Bland-Altman / correlation statistics).
 """
 
 from bpnet.tqwt import TqwtParams, SubbandSet, FrequencyTable, decompose, reconstruct
-from bpnet.recordio import PatientRecord, RecordDescriptor, read_csv_record, read_wfdb_record, select_channels
+from bpnet.recordio import PatientRecord, read_csv_record, read_wfdb_record, select_channels
 from bpnet.segmentation import Sequences, DatasetSplit
-from bpnet.model import ModelParams, TrainConfig, AdamState, TrainedModel, TargetPair
+from bpnet.model import ModelParams, AdamState, TrainedModel, TargetPair
 
 __all__ = [
     "TqwtParams",
@@ -19,7 +19,6 @@ __all__ = [
     "decompose",
     "reconstruct",
     "PatientRecord",
-    "RecordDescriptor",
     "read_csv_record",
     "read_wfdb_record",
     "select_channels",
@@ -27,7 +26,6 @@ __all__ = [
     "Sequences",
     "DatasetSplit",
     "ModelParams",
-    "TrainConfig",
     "AdamState",
     "TrainedModel",
 ]

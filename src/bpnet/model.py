@@ -50,6 +50,7 @@ from typing import Optional
 import numpy as np
 
 from bpnet.atomic import atomic_open
+from bpnet.config import PipelineConfig
 from bpnet.segmentation import FEATURE_DIM, ChannelStats, DatasetSplit, Sequences
 
 DENSE_UNITS = 128
@@ -154,22 +155,6 @@ class ModelParams:
     @property
     def count(self) -> int:
         return self.flat.size
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 128
-    learning_rate: float = 0.001
-    grad_cap: float = 3.0  # 3.0 for M=10 runs, 5.0 for M=32 runs
-    max_epochs: int = 300
-    patience: int = 20
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.grad_cap <= 0:
-            raise ModelError(f"gradient cap must be positive, got {self.grad_cap}")
-        if self.batch_size < 1:
-            raise ModelError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -447,13 +432,13 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tmp, split_input=False) -> None:
+def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tmp) -> None:
     """One LSTM direction over time-major rows `x2` (M*B, Din), keeping every step.
 
     The input product of every step goes into `gates` (M, B, 4H) at once, by
-    row halves when `split_input`; the time loop activates it in place, by
-    batch halves, and writes step t's ``cells``, ``tanh_c`` and ``hidden``
-    (M, B, H).  `tmp` is (B, 4H) scratch.
+    row halves; the time loop activates it in place, by batch halves, and
+    writes step t's ``cells``, ``tanh_c`` and ``hidden`` (M, B, H).  `tmp` is
+    (B, 4H) scratch.
     """
     M, B, _ = gates.shape
     H = w.hidden
@@ -463,10 +448,7 @@ def _lstm_layer(x2, w: LstmWeights, layer: str, gates, cells, tanh_c, hidden, tm
         np.matmul(x2[lo:hi], w.wx, out=g2[lo:hi])
         g2[lo:hi] += w.b
 
-    if split_input:
-        _halves(M * B, project, (M * B, x2.shape[1], 4 * H))
-    else:
-        project(0, M * B)
+    _halves(M * B, project, (M * B, x2.shape[1], 4 * H))
     scale, shift = _gate_affine(H)
 
     def steps(lo, hi):
@@ -509,7 +491,7 @@ def lstm_forward(
     if tmp is None:
         tmp = np.empty((B, 4 * H))
     cache = LstmCache(inputs.reshape(M * B, d_in), *out)
-    _lstm_layer(cache.inputs, w, layer, cache.gates, cache.cells, cache.tanh_c, cache.hidden, tmp, split_input=True)
+    _lstm_layer(cache.inputs, w, layer, cache.gates, cache.cells, cache.tanh_c, cache.hidden, tmp)
     return cache.hidden, cache
 
 
@@ -724,14 +706,14 @@ def clip_gradient_norm(grads: ModelParams, cap: float) -> ModelParams:
     return ModelParams(grads.dims, flat)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: ModelParams
     v: ModelParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -751,8 +733,8 @@ def adam_step(
     ADAM_CHUNK, may run side by side, each through its own chunk.
     """
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     n = params.flat.size
     chunks = np.empty((2, min(n, ADAM_CHUNK)))
 
@@ -761,15 +743,15 @@ def adam_step(
             p, g = params.flat[lo : lo + ADAM_CHUNK], grads.flat[lo : lo + ADAM_CHUNK]
             m, v = state.m.flat[lo : lo + ADAM_CHUNK], state.v.flat[lo : lo + ADAM_CHUNK]
             tmp = chunk[: p.size]
-            m *= state.beta1
-            m += np.multiply(g, 1.0 - state.beta1, out=tmp)
-            v *= state.beta2
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
             np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - state.beta2
+            tmp *= 1.0 - ADAM_BETA2
             v += tmp
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += state.eps
+            tmp += ADAM_EPS
             np.divide(m, tmp, out=tmp)
             tmp *= lr / bc1
             p -= tmp
@@ -802,13 +784,14 @@ def _mean_loss(params: ModelParams, sequences: Sequences, arena: StepArena) -> f
     return float(np.sum((_outputs(params, sequences, arena) - y) ** 2)) / y.size
 
 
-def train(dataset: DatasetSplit, config: TrainConfig) -> tuple[ModelParams, TrainHistory]:
+def train(dataset: DatasetSplit, config: PipelineConfig) -> tuple[ModelParams, TrainHistory]:
     """Mini-batch training with gradient clipping, Adam, and early stopping.
 
-    Weights start from ``init_params(config.seed)``.  Batches reshuffle each
-    epoch under the seeded generator and are gathered from the shared row
-    table straight into one StepArena, which each epoch's validation pass
-    reuses.  The parameters with the best validation MSE are returned
+    Reads the config's batch size, learning rate, gradient cap, epoch limit,
+    patience and seed.  Weights start from ``init_params(config.seed)``.
+    Batches reshuffle each epoch under the seeded generator and are gathered
+    from the shared row table straight into one StepArena, which each
+    epoch's validation pass reuses.  The parameters with the best validation MSE are returned
     together with the per-epoch loss history.
     """
     if not dataset.train or not dataset.validation:

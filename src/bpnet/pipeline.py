@@ -26,7 +26,6 @@ from bpnet.atomic import atomic_open
 from bpnet.config import PipelineConfig
 from bpnet.evaluate import assemble_report, tracking_export
 from bpnet.model import (
-    TrainConfig,
     TrainedModel,
     blas_threads,
     load_model,
@@ -139,14 +138,11 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
     with _replaced_tree(out / "raw") as raw:
         for path in files:
             record = _load_record_file(path, config.fs)
-            name = record.descriptor.record_name
+            name = record.name
             if name in sources:
                 raise DataError(f"files {sources[name]} and {path} both hold record {name}")
-            if record.descriptor.sampling_rate != config.fs:
-                raise DataError(
-                    f"record {name} is sampled at {record.descriptor.sampling_rate:g} Hz, "
-                    f"config fs is {config.fs:g} Hz"
-                )
+            if record.fs != config.fs:
+                raise DataError(f"record {name} is sampled at {record.fs:g} Hz, config fs is {config.fs:g} Hz")
             triple = select_channels(record)
             rec_dir = raw / name
             rec_dir.mkdir(exist_ok=True)
@@ -154,7 +150,7 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
             np.save(rec_dir / "ppg.npy", triple.ppg)
             if triple.abp is not None:
                 np.save(rec_dir / "abp.npy", triple.abp)
-            meta = {"fs": record.descriptor.sampling_rate, "name": name}
+            meta = {"fs": record.fs, "name": name}
             (rec_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
             sources[name] = path
     names = list(sources)
@@ -323,17 +319,6 @@ def _dataset(config: PipelineConfig) -> DatasetSplit:
     return load_dataset(path)
 
 
-def _train_config(config: PipelineConfig) -> TrainConfig:
-    return TrainConfig(
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        grad_cap=config.grad_cap,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        seed=config.seed,
-    )
-
-
 def _patient_subset(split: DatasetSplit, patient: str) -> DatasetSplit:
     parts = (split.train, split.validation, split.test)
     return DatasetSplit(*(part[part.patient == patient] for part in parts), split.stats)
@@ -343,11 +328,10 @@ def stage_train(config: PipelineConfig) -> list[str]:
     """Fit the sequence regressor; one pooled model or one per patient."""
     split = _dataset(config)
     out = Path(config.out_dir)
-    tc = _train_config(config)
     written = []
     history_rows = ["scope,epoch,train_loss,val_loss"]
     if config.pooled:
-        params, history = train(split, tc)
+        params, history = train(split, config)
         save_model(TrainedModel(params, config.m, split.stats), out / "model.bpnet")
         written.append(str(out / "model.bpnet"))
         for e, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
@@ -361,7 +345,7 @@ def stage_train(config: PipelineConfig) -> list[str]:
             subset = _patient_subset(split, patient)
             if not subset.train or not subset.validation:
                 continue
-            params, history = train(subset, tc)
+            params, history = train(subset, config)
             path = models_dir / f"{patient}.bpnet"
             save_model(TrainedModel(params, config.m, split.stats), path)
             written.append(str(path))

@@ -11,13 +11,14 @@ Two interchange forms are supported:
   {time, ecg_ii, ecg_iii, ecg_v, ppg, abp}, one sample per row.
 
 Samples are converted to physical units via (adc - baseline) / gain and
-mapped to channel roles by case-insensitive label matching.
+mapped to channel roles by case-insensitive label matching.  A record keeps
+only its name, sampling rate and role-keyed channels.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -29,7 +30,7 @@ ECG_V = "ecg_v"
 PPG = "ppg"
 ABP = "abp"
 
-# Case-insensitive label -> channel role; unknown labels stay unmapped.
+# Case-insensitive label -> channel role; a signal with another label is dropped.
 _LABEL_ROLES = {"II": ECG_II, "III": ECG_III, "V": ECG_V, "PLETH": PPG, "ABP": ABP}
 
 _CSV_COLUMNS = {"time", "ecg_ii", "ecg_iii", "ecg_v", "ppg", "abp"}
@@ -64,43 +65,15 @@ class ChannelError(RecordIOError):
 
 
 @dataclass
-class SignalSpec:
-    file_name: str
-    fmt: int  # 212 or 16
-    gain: float
-    baseline: int
-    units: str
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.gain == 0:
-            raise RecordIOError(f"signal {self.label!r} has zero gain")
-
-
-@dataclass
-class RecordDescriptor:
-    record_name: str
-    num_signals: int
-    sampling_rate: float
-    num_samples: int
-    signals: list[SignalSpec] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.sampling_rate <= 0:
-            raise RecordIOError(f"sampling rate must be positive, got {self.sampling_rate}")
-        if self.num_signals < 1:
-            raise RecordIOError(f"need at least one signal, got {self.num_signals}")
-
-
-@dataclass
 class PatientRecord:
-    descriptor: RecordDescriptor
+    name: str
+    fs: float
     channels: dict[str, np.ndarray]
-    unmapped: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.fs <= 0:
+            raise RecordIOError(f"sampling rate must be positive, got {self.fs}")
         lengths = {arr.size for arr in self.channels.values()}
-        lengths |= {arr.size for arr in self.unmapped.values()}
         if len(lengths) > 1:
             raise RecordIOError(f"channel arrays have unequal lengths: {sorted(lengths)}")
 
@@ -167,7 +140,8 @@ def encode_format_16(samples: np.ndarray) -> bytes:
     return np.asarray(samples, dtype="<i2").tobytes()
 
 
-def _parse_header(header_bytes: bytes) -> RecordDescriptor:
+def _parse_header(header_bytes: bytes) -> tuple[str, float, int, list[tuple[int, float, int, str]]]:
+    """(name, fs, num_samples, [(fmt, gain, baseline, label)] per signal)."""
     text = header_bytes.decode("utf-8", errors="replace")
     offsets: list[int] = []
     lines: list[str] = []
@@ -193,6 +167,8 @@ def _parse_header(header_bytes: bytes) -> RecordDescriptor:
         raise HeaderError(f"malformed record line {lines[0]!r}: {exc}", offsets[0]) from None
     if num_samples < 0:
         raise HeaderError(f"negative sample count {num_samples} in record line {lines[0]!r}", offsets[0])
+    if num_signals < 1:
+        raise HeaderError(f"need at least one signal, got {num_signals}", offsets[0])
 
     if len(lines) - 1 < num_signals:
         raise HeaderError(
@@ -215,47 +191,36 @@ def _parse_header(header_bytes: bytes) -> RecordDescriptor:
             raise HeaderError(f"unsupported storage format {fmt}", offset)
         if gain == 0:
             raise HeaderError(f"signal {parts[5]!r} has zero gain", offset)
-        signals.append(SignalSpec(parts[0], fmt, gain, baseline, parts[4], parts[5]))
-
-    return RecordDescriptor(name, num_signals, fs, num_samples, signals)
-
-
-def _assign_roles(
-    labels: list[str], arrays: list[np.ndarray]
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    channels: dict[str, np.ndarray] = {}
-    unmapped: dict[str, np.ndarray] = {}
-    for label, arr in zip(labels, arrays):
-        role = _LABEL_ROLES.get(label.strip().upper())
-        if role is not None and role not in channels:
-            channels[role] = arr
-        else:
-            unmapped[label] = arr
-    return channels, unmapped
+        signals.append((fmt, gain, baseline, parts[5]))
+    return name, fs, num_samples, signals
 
 
 def read_wfdb_record(header_bytes: bytes, signal_bytes: bytes) -> PatientRecord:
-    """Parse a WFDB-style header plus interleaved sample stream."""
-    desc = _parse_header(header_bytes)
+    """Parse a WFDB-style header plus interleaved sample stream.
 
-    fmts = {spec.fmt for spec in desc.signals}
+    A signal with no role, or with a role an earlier signal took, is dropped.
+    """
+    name, fs, num_samples, signals = _parse_header(header_bytes)
+
+    fmts = {fmt for fmt, _, _, _ in signals}
     if len(fmts) > 1:
         raise HeaderError(f"mixed storage formats {sorted(fmts)} unsupported", 0)
     fmt = fmts.pop()
 
-    total = desc.num_samples * desc.num_signals
+    total = num_samples * len(signals)
     if fmt == 212:
         flat = decode_format_212(signal_bytes, total)
     else:
         flat = decode_format_16(signal_bytes, total)
     # Interleaved frames: sample k of signal s sits at flat[k * nsig + s].
-    frames = flat.reshape(desc.num_samples, desc.num_signals)
+    frames = flat.reshape(num_samples, len(signals))
 
-    arrays = []
-    for s, spec in enumerate(desc.signals):
-        arrays.append((frames[:, s] - spec.baseline) / spec.gain)
-    channels, unmapped = _assign_roles([s.label for s in desc.signals], arrays)
-    return PatientRecord(desc, channels, unmapped)
+    channels: dict[str, np.ndarray] = {}
+    for s, (_, gain, baseline, label) in enumerate(signals):
+        role = _LABEL_ROLES.get(label.upper())
+        if role is not None and role not in channels:
+            channels[role] = (frames[:, s] - baseline) / gain
+    return PatientRecord(name, fs, channels)
 
 
 def write_wfdb_record(
@@ -312,9 +277,7 @@ def read_csv_record(text: str, fs: float, record_name: str = "csv") -> PatientRe
 
     last = {header[i]: k for k, i in enumerate(usecols)}  # a name given twice keeps its last column
     data = dict(zip(last, np.ascontiguousarray(values.T[list(last.values())])))
-    specs = [SignalSpec("-", 16, 1.0, 0, "physical", c) for c in data]
-    desc = RecordDescriptor(record_name, len(data), fs, len(body), specs)
-    return PatientRecord(desc, data)
+    return PatientRecord(record_name, fs, data)
 
 
 def _read_cells(lines: list[str], header: list[str], usecols: list[int]) -> np.ndarray:

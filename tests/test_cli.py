@@ -610,6 +610,28 @@ def test_ingest_rejects_record_at_other_rate(tmp_path, capsys):
     assert main(["ingest", "--config", str(cfg)]) == 0
 
 
+def test_ingest_writes_the_same_raw_files_without_dropped_signals(tmp_path):
+    from bpnet.recordio import write_wfdb_record
+
+    rng = np.random.default_rng(8)
+    ecg, resp, ppg, ecg2 = rng.integers(-2000, 2000, size=(4, 125 * 20))
+    trees = []
+    for extra, labels, arrays in (
+        (False, ["II", "PLETH"], [ecg, ppg]),
+        (True, ["II", "RESP", "PLETH", "II"], [ecg, resp, ppg, ecg2]),
+    ):
+        run = tmp_path / ("extra" if extra else "plain")
+        run.mkdir()
+        header, payload = write_wfdb_record("p0", 125.0, labels, arrays, gains=[100.0] * len(labels))
+        (run / "p0.hea").write_bytes(header)
+        (run / "p0.dat").write_bytes(payload)
+        assert main(["ingest", "--config", str(_write_config(run, run / "p0.hea"))]) == 0
+        raw = run / "out" / "raw"
+        trees.append({str(p.relative_to(raw)): p.read_bytes() for p in sorted(raw.rglob("*")) if p.is_file()})
+    assert sorted(trees[0]) == ["p0/ecg.npy", "p0/meta.json", "p0/ppg.npy"]
+    assert trees[0] == trees[1]
+
+
 def test_ingest_rejects_two_files_of_one_record(tmp_path, synth_csv, capsys):
     from bpnet.recordio import write_wfdb_record
 

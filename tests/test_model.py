@@ -10,8 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bpnet import model as bpmodel
+from bpnet.config import PipelineConfig
 from bpnet.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_CHUNK,
+    ADAM_EPS,
     INFER_CHUNK,
     AdamState,
     LstmWeights,
@@ -19,7 +23,6 @@ from bpnet.model import (
     ModelParams,
     NonFiniteActivation,
     StepArena,
-    TrainConfig,
     TrainedModel,
     _outputs,
     adam_step,
@@ -325,7 +328,7 @@ class TestAdam:
         state = AdamState(ModelParams(dims, rng.standard_normal(100_003)), ModelParams(dims, rng.random(100_003)), step=4)
         assert params.count // ADAM_CHUNK == 3 and params.count % ADAM_CHUNK
         p, g, m, v = params.flat.copy(), grads.flat, state.m.flat.copy(), state.v.flat.copy()
-        lr, b1, b2, eps = 0.003, state.beta1, state.beta2, state.eps
+        lr, b1, b2, eps = 0.003, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         adam_step(params, grads, state, lr)
         # The unchunked sequence, operation for operation.
         bc1, bc2 = 1.0 - b1**5, 1.0 - b2**5
@@ -761,14 +764,14 @@ def _toy_dataset(rng, count=8, m=4, input_dim=5):
 class TestTrain:
     def test_loss_decreases_and_best_epoch_selected(self, rng):
         dataset = _toy_dataset(rng)
-        config = TrainConfig(batch_size=8, max_epochs=30, patience=30, seed=1)
+        config = PipelineConfig(batch_size=8, max_epochs=30, patience=30, seed=1)
         params, history = train(dataset, config)
         assert history.val_loss[history.best_epoch] == pytest.approx(min(history.val_loss))
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_fixed_seed_identical_runs(self, rng):
         dataset = _toy_dataset(rng)
-        config = TrainConfig(batch_size=8, max_epochs=5, patience=10, seed=3)
+        config = PipelineConfig(batch_size=8, max_epochs=5, patience=10, seed=3)
         p1, h1 = train(dataset, config)
         p2, h2 = train(dataset, config)
         assert h1.train_loss == h2.train_loss
@@ -784,14 +787,14 @@ class TestTrain:
                 built.append(args)
 
         monkeypatch.setattr(bpmodel, "StepArena", CountedArena)
-        train(_toy_dataset(rng, count=20), TrainConfig(batch_size=8, max_epochs=2, patience=5, seed=4))
+        train(_toy_dataset(rng, count=20), PipelineConfig(batch_size=8, max_epochs=2, patience=5, seed=4))
         assert built == [((FEATURE_DIM, 128, 128, 2), 8, 4)]
 
     def test_empty_partition_rejected(self, rng):
         dataset = _toy_dataset(rng)
         empty = DatasetSplit(dataset.train[:0], dataset.validation, dataset.test, dataset.stats)
         with pytest.raises(ModelError, match="non-empty"):
-            train(empty, TrainConfig())
+            train(empty, PipelineConfig())
 
 
 def _tiny_model(seed: int, m: int = 6) -> TrainedModel:

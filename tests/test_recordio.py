@@ -9,9 +9,7 @@ from bpnet.recordio import (
     ChannelError,
     HeaderError,
     PatientRecord,
-    RecordDescriptor,
     RecordIOError,
-    SignalSpec,
     TruncatedSignalError,
     decode_format_212,
     encode_format_212,
@@ -99,9 +97,25 @@ def test_wfdb_record_with_gain_and_baseline():
         fmt=212, gains=[100.0, 10.0], baselines=[0, 50], units=["mV", "NU"],
     )
     record = read_wfdb_record(header, payload)
-    assert record.descriptor.sampling_rate == 125.0
+    assert record.name == "r0" and record.fs == 125.0
     assert np.allclose(record.channels["ecg_ii"], [1.0, 2.0])
     assert np.allclose(record.channels["ppg"], [0.0, 1.0])
+
+
+def test_wfdb_signals_without_a_free_role_are_dropped():
+    rng = np.random.default_rng(3)
+    ecg, resp, ppg, ecg2 = rng.integers(-2000, 2000, size=(4, 50))
+    header, payload = write_wfdb_record(
+        "r0", 125.0, ["II", "RESP", "PLETH", "II"], [ecg, resp, ppg, ecg2],
+        gains=[200.0, 5.0, 50.0, 100.0], baselines=[10, 0, -4, 3],
+    )
+    record = read_wfdb_record(header, payload)
+    header, payload = write_wfdb_record("r0", 125.0, ["II", "PLETH"], [ecg, ppg], gains=[200.0, 50.0], baselines=[10, -4])
+    plain = read_wfdb_record(header, payload)
+    assert list(record.channels) == ["ecg_ii", "ppg"]  # the first II keeps the role; RESP has none
+    for role in ("ecg_ii", "ppg"):
+        assert record.channels[role].tobytes() == plain.channels[role].tobytes()
+    assert np.array_equal(record.channels["ecg_ii"], (ecg - 10) / 200.0)
 
 
 def test_malformed_header_line_reports_offset():
@@ -140,7 +154,6 @@ def test_csv_basic_three_rows():
     record = read_csv_record(text, fs=125.0)
     assert set(record.channels) == {"ecg_ii", "ppg", "abp"}
     assert all(arr.size == 3 for arr in record.channels.values())
-    assert record.descriptor.num_samples == 3
 
 
 def test_csv_without_ecg_rejected():
@@ -169,7 +182,6 @@ def test_csv_non_numeric_cell_reports_position():
 def test_csv_skips_blank_whitespace_and_crlf_lines():
     text = "ecg_ii,ppg,abp\r\n\r\n0.1,0.5,100\r\n   \r\n\t\n0.2,0.6,101\r\n\n"
     record = read_csv_record(text, fs=125.0)
-    assert record.descriptor.num_samples == 2
     assert record.channels["ecg_ii"].tolist() == [0.1, 0.2]
     assert record.channels["abp"].tolist() == [100.0, 101.0]
 
@@ -212,7 +224,7 @@ def test_csv_time_and_unknown_columns_are_never_parsed():
     with pytest.warns(UserWarning, match="banana"):
         record = read_csv_record(text, fs=125.0)
     assert record.channels["ppg"].tolist() == [0.5, 0.6]
-    assert set(record.channels) == {"ecg_ii", "ppg"} and not record.unmapped
+    assert set(record.channels) == {"ecg_ii", "ppg"}
 
 
 def test_csv_nan_and_float_syntax_cells():
@@ -227,7 +239,6 @@ def test_csv_nan_and_float_syntax_cells():
 
 def test_csv_header_only_gives_empty_channels():
     record = read_csv_record("time,ecg_ii,ppg\n", fs=125.0)
-    assert record.descriptor.num_samples == 0
     assert record.channels["ecg_ii"].size == record.channels["ppg"].size == 0
 
 
@@ -247,10 +258,7 @@ def test_csv_cells_read_bit_equal_to_float(values, fmt):
 
 
 def _record_with(channels):
-    n = len(next(iter(channels.values())))
-    specs = [SignalSpec("-", 16, 1.0, 0, "u", k) for k in channels]
-    desc = RecordDescriptor("r", len(channels), 125.0, n, specs)
-    return PatientRecord(desc, {k: np.asarray(v, dtype=float) for k, v in channels.items()})
+    return PatientRecord("r", 125.0, {k: np.asarray(v, dtype=float) for k, v in channels.items()})
 
 
 def test_select_channels_lead_priority():
