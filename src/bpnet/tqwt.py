@@ -286,8 +286,8 @@ def subband_frequencies(params: TqwtParams, fs: float, level: int) -> tuple[floa
     The center follows the closed form alpha^level * (2 - beta) / (4 alpha) * fs.
     The cutoff is found numerically: the lowest frequency at which the
     cascaded response crosses 1/sqrt(2) of its passband maximum, located on
-    a grid of fs / 2^18 Hz steps (a TqwtError if the grid cannot bracket it)
-    and refined by linear interpolation.
+    a grid of fs / 2^18 Hz steps and refined by linear interpolation.  A
+    crossing below the grid's first step cannot be bracketed: a TqwtError.
     """
     if not 1 <= level <= params.levels:
         raise TqwtError(f"level {level} out of range 1..{params.levels}")
@@ -303,6 +303,9 @@ def subband_frequencies(params: TqwtParams, fs: float, level: int) -> tuple[floa
                         "grid step; its lower 3 dB cutoff cannot be bracketed")
     target = mag[k] / math.sqrt(2.0)
     i = int(np.flatnonzero(mag[: k + 1] <= target)[-1])
+    if i == 0:  # the crossing lies inside the first grid step, where interpolation is no estimate
+        raise TqwtError(f"level {level} lower 3 dB cutoff at Q={params.q:g} lies inside the first "
+                        f"{fs / 2**18:.3g} Hz grid step; it cannot be bracketed")
     f_lo = grid[i] + (target - mag[i]) * (grid[i + 1] - grid[i]) / (mag[i + 1] - mag[i])
     return center, float(f_lo)
 

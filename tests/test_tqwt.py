@@ -248,7 +248,10 @@ def test_one_cosine_theta_bit_equal_to_two_cosine_form():
         assert _theta(part).tobytes() == _ref_theta(part).tobytes()
 
 
-@pytest.mark.parametrize("level", [31, 40])
+# From level 31 the subband lies below the first grid step; at 27-30 its
+# cut-off lies inside it, where interpolating from 0 Hz estimates nothing
+# (at 30 the estimate would sit above the centre).
+@pytest.mark.parametrize("level", [27, 28, 29, 30, 31, 40])
 def test_subband_below_grid_rejected_naming_level(level):
     with pytest.raises(TqwtError, match=f"level {level} .*cannot be bracketed"):
         subband_frequencies(TqwtParams(q=1.0, levels=level), 125.0, level)
@@ -270,6 +273,14 @@ def test_q_table_script_exits_2_on_unbracketable_level(tmp_path, monkeypatch, ca
     assert _q_table_script().main() == 2
     err = capsys.readouterr().err
     assert "level 40" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_q_table_script_exits_2_on_cutoff_inside_first_grid_step(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "q.csv"
+    monkeypatch.setattr(sys, "argv", ["build_q_table.py", "--level", "30", "--out", str(out)])
+    assert _q_table_script().main() == 2
+    assert "level 30" in capsys.readouterr().err
     assert not out.exists()
 
 
