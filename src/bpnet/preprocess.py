@@ -1,7 +1,8 @@
 """Adaptive wavelet preprocessing applied identically to ECG and PPG windows.
 
-Per window: locate the cardiac fundamental in the normalized magnitude
-spectrum, pick the quality factor Q from the frequency lookup table so the
+Per window: locate the cardiac fundamental in the magnitude spectrum,
+normalized by its maximum at or above 0.5 Hz so that baseline wander sets no
+scale, pick the quality factor Q from the frequency lookup table so the
 fundamental is not attenuated, decompose with the tunable-Q filter bank,
 drop the lowpass residual (DC and baseline wander), soft-threshold the
 subbands with a risk-estimate rule, and synthesize the cleaned window.
@@ -30,16 +31,18 @@ class PreprocessError(ValueError):
 @dataclass
 class FundamentalPeak:
     frequency_hz: float
-    amplitude: float      # on the max-normalized spectrum
+    amplitude: float      # on the spectrum normalized by its maximum at or above 0.5 Hz
     prominence: float
     left_end_hz: float
 
 
 def _smoothed_spectrum(signal: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Max-normalized magnitude spectrum, lightly smoothed.
+    """Magnitude spectrum, lightly smoothed, divided by its maximum at or above 0.5 Hz.
 
     The smoothing suppresses rectangular-window leakage ripple so that the
-    valley scan sees spectral structure, not sidelobes.
+    valley scan sees spectral structure, not sidelobes.  Bins below
+    PROMINENCE_WINDOW_HZ[0] (baseline wander) may exceed 1; they do not set
+    the scale, so wander leaves the cardiac peaks' prominence as it is.
     """
     mag = np.abs(np.fft.rfft(signal))
     freqs = np.fft.rfftfreq(signal.size, d=1.0 / fs)
@@ -50,7 +53,7 @@ def _smoothed_spectrum(signal: np.ndarray, fs: float) -> tuple[np.ndarray, np.nd
     if width > 1:
         kernel = np.full(width, 1.0 / width)
         mag = np.convolve(mag, kernel, mode="same")
-    top = np.max(mag)
+    top = np.max(mag[freqs >= PROMINENCE_WINDOW_HZ[0]])
     if top > 0:
         mag = mag / top
     return freqs, mag

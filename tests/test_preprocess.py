@@ -15,6 +15,7 @@ from bpnet.preprocess import (
     spectrum_peak,
     sure_threshold,
 )
+from bpnet.synthetic import SyntheticConfig, generate
 from bpnet.tqwt import SubbandSet, TqwtParams, decompose, reconstruct
 
 FS = 125.0
@@ -306,3 +307,22 @@ def test_sure_threshold_rows_match_single_calls(rng):
     for row, s, got in zip(coeffs, sigma[:, 0], t[:, 0]):
         assert got == sure_threshold(row, float(s))[0]
         assert got == pytest.approx(_sure_oracle(row.tolist(), float(s)), abs=1e-12)
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.25, 0.5])
+def test_spectrum_peak_finds_the_heart_rate_under_baseline_wander(drift):
+    # Four 240 s records, fifteen 16 s windows each.  A hit is a peak within
+    # 0.2 Hz of the window's median beat rate.  Measured: at least 57 of 60
+    # windows hit on each channel at every drift.  A spectrum scaled by the
+    # wander's own peak below 0.5 Hz hits none at drift 0.5.
+    window, hits = 2000, {"ecg": 0, "ppg": 0}
+    for i, hr in enumerate((64.0, 78.0, 91.0, 104.0)):
+        rec = generate(SyntheticConfig(duration_s=240.0, heart_rate_bpm=hr, seed=40 + i,
+                                       ecg_drift=drift, ppg_drift=1.4 * drift))
+        for lo in range(0, rec.ecg.size - window + 1, window):
+            beats = rec.beat_times[(rec.beat_times >= lo / FS) & (rec.beat_times < (lo + window) / FS)]
+            rate = 1.0 / np.median(np.diff(beats))
+            for channel in hits:
+                peak = spectrum_peak(getattr(rec, channel)[lo : lo + window], FS)
+                hits[channel] += peak is not None and abs(peak.frequency_hz - rate) <= 0.2
+    assert hits["ecg"] >= 54 and hits["ppg"] >= 54, hits  # 90 % of the 60 windows
