@@ -8,6 +8,7 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -71,9 +72,7 @@ def _load_config(path: str) -> PipelineConfig:
         raise SystemExit(EXIT_USAGE) from None
     config = parse_config(text)
     env_out = os.environ.get("BPNET_OUT_DIR")
-    if env_out:
-        config.out_dir = env_out
-    return config
+    return dataclasses.replace(config, out_dir=env_out) if env_out else config
 
 
 def _run_stage(command: str, config: PipelineConfig) -> None:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from bpnet.tqwt import TqwtError, TqwtParams
 
+DEFAULT_M = 10
 M_WINDOW_PAIRS = {10: 16.0, 32: 40.0}
 M_CAP_PAIRS = {10: 3.0, 32: 5.0}
 
@@ -23,12 +24,15 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Paired and checked when built, frozen after (use dataclasses.replace);
+    `m`, `window_seconds` and `grad_cap` left as None take their pairing."""
+
     data_path: str = ""
     fs: float = 125.0
-    m: int = 10
-    window_seconds: float = 16.0
+    m: int | None = None
+    window_seconds: float | None = None
     window_force: bool = False
     tqwt_r: float = 3.0
     tqwt_levels: int = 10
@@ -37,7 +41,7 @@ class PipelineConfig:
     q_step: float = 0.01
     learning_rate: float = 0.001
     batch_size: int = 128
-    grad_cap: float = 3.0
+    grad_cap: float | None = None
     patience: int = 20
     max_epochs: int = 300
     seed: int = 0
@@ -47,12 +51,25 @@ class PipelineConfig:
     split_test: float = 0.2
     out_dir: str = "runs/out"
 
+    def __post_init__(self) -> None:
+        for key, (attr, kind) in _KEYS.items():
+            value = getattr(self, attr)
+            if kind is float and value is not None:
+                if not math.isfinite(value):
+                    raise ConfigError(f"bad value for {key!r}: not a finite number: {value!r}")
+                object.__setattr__(self, attr, float(value))  # 250 hashes as the file's 250.0
+        m, window = _resolve_pairings(self.m, self.window_seconds, self.window_force)
+        cap = M_CAP_PAIRS.get(m, 3.0) if self.grad_cap is None else self.grad_cap
+        for name, value in (("m", m), ("window_seconds", window), ("grad_cap", cap)):
+            object.__setattr__(self, name, value)
+        _validate(self)
+
     def window_samples(self) -> int:
         return int(round(self.window_seconds * self.fs))
 
     def to_canonical_text(self) -> str:
         lines = []
-        for key, attr in sorted(_KEY_TO_FIELD.items()):
+        for key, (attr, _) in sorted(_KEYS.items()):
             value = getattr(self, attr)
             if isinstance(value, bool):
                 value = "true" if value else "false"
@@ -63,59 +80,49 @@ class PipelineConfig:
         return hashlib.sha256(self.to_canonical_text().encode()).hexdigest()[:16]
 
 
-_KEY_TO_FIELD = {
-    "data.path": "data_path",
-    "fs": "fs",
-    "train.m": "m",
-    "window.seconds": "window_seconds",
-    "window.force": "window_force",
-    "tqwt.r": "tqwt_r",
-    "tqwt.levels": "tqwt_levels",
-    "tqwt.q_min": "q_min",
-    "tqwt.q_max": "q_max",
-    "tqwt.q_step": "q_step",
-    "train.lr": "learning_rate",
-    "train.batch": "batch_size",
-    "train.cap": "grad_cap",
-    "train.patience": "patience",
-    "train.max_epochs": "max_epochs",
-    "train.seed": "seed",
-    "train.pooled": "pooled",
-    "split.train": "split_train",
-    "split.validation": "split_validation",
-    "split.test": "split_test",
-    "out.dir": "out_dir",
+_KEYS = {  # file key -> (field, type of its value)
+    "data.path": ("data_path", str),
+    "fs": ("fs", float),
+    "train.m": ("m", int),
+    "window.seconds": ("window_seconds", float),
+    "window.force": ("window_force", bool),
+    "tqwt.r": ("tqwt_r", float),
+    "tqwt.levels": ("tqwt_levels", int),
+    "tqwt.q_min": ("q_min", float),
+    "tqwt.q_max": ("q_max", float),
+    "tqwt.q_step": ("q_step", float),
+    "train.lr": ("learning_rate", float),
+    "train.batch": ("batch_size", int),
+    "train.cap": ("grad_cap", float),
+    "train.patience": ("patience", int),
+    "train.max_epochs": ("max_epochs", int),
+    "train.seed": ("seed", int),
+    "train.pooled": ("pooled", bool),
+    "split.train": ("split_train", float),
+    "split.validation": ("split_validation", float),
+    "split.test": ("split_test", float),
+    "out.dir": ("out_dir", str),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
-
-def _parse_value(key: str, raw: str, target_type: str):
+def _parse_value(key: str, raw: str, kind: type):
     raw = raw.strip()
     try:
-        if target_type == "bool":
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if target_type == "int":
-            return int(raw)
-        if target_type == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(f"not a finite number: {raw!r}")
-            return value
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse a config file body into a fully resolved PipelineConfig."""
-    config = PipelineConfig()
-    seen: set[str] = set()
+    values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -124,60 +131,45 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr = _KEY_TO_FIELD[key]
-        setattr(config, attr, _parse_value(key, value, _FIELD_TYPES[attr]))
-        seen.add(key)
-
-    _resolve_pairings(config, seen)
-    _validate(config)
-    return config
+        attr, kind = _KEYS[key]
+        values[attr] = _parse_value(key, value, kind)
+    return PipelineConfig(**values)
 
 
-def _resolve_pairings(config: PipelineConfig, seen: set[str]) -> None:
-    m_set = "train.m" in seen
-    window_set = "window.seconds" in seen
-    cap_set = "train.cap" in seen
-
-    if m_set and not window_set:
-        if config.m in M_WINDOW_PAIRS:
-            config.window_seconds = M_WINDOW_PAIRS[config.m]
-        elif not config.window_force:
+def _resolve_pairings(m: int | None, window: float | None, force: bool) -> tuple[int, float]:
+    """Fill in an unset train.m or window.seconds from the other's pairing."""
+    if window is None:
+        m = DEFAULT_M if m is None else m
+        if m not in M_WINDOW_PAIRS and not force:
             raise ConfigError(
-                f"train.m = {config.m} has no standard window; set window.seconds "
+                f"train.m = {m} has no standard window; set window.seconds "
                 "and window.force = true"
             )
-    elif window_set and not m_set:
-        matches = [m for m, w in M_WINDOW_PAIRS.items() if abs(w - config.window_seconds) < 1e-9]
-        if matches:
-            config.m = matches[0]
-        elif not config.window_force:
+        window = M_WINDOW_PAIRS.get(m, M_WINDOW_PAIRS[DEFAULT_M])
+    elif m is None:
+        matches = [k for k, w in M_WINDOW_PAIRS.items() if abs(w - window) < 1e-9]
+        if not matches and not force:
             raise ConfigError(
-                f"window.seconds = {config.window_seconds} has no standard sequence "
+                f"window.seconds = {window} has no standard sequence "
                 "length; set train.m and window.force = true"
             )
-    elif m_set and window_set and not config.window_force:
-        expected = M_WINDOW_PAIRS.get(config.m)
-        if expected is None or abs(expected - config.window_seconds) > 1e-9:
-            raise ConfigError(
-                f"train.m = {config.m} pairs with window.seconds = {expected}; "
-                f"got {config.window_seconds} (set window.force = true to override)"
-            )
-
-    if not cap_set:
-        config.grad_cap = M_CAP_PAIRS.get(config.m, 3.0)
+        m = matches[0] if matches else DEFAULT_M
+    return m, window
 
 
 def _validate(config: PipelineConfig) -> None:
+    expected = M_WINDOW_PAIRS.get(config.m)
+    if not config.window_force and (expected is None or abs(expected - config.window_seconds) > 1e-9):
+        raise ConfigError(
+            f"train.m = {config.m} pairs with window.seconds = {expected}; "
+            f"got {config.window_seconds} (set window.force = true to override)"
+        )
     if config.fs <= 0:
         raise ConfigError(f"fs must be positive, got {config.fs}")
     if config.m < 1:
         raise ConfigError(f"train.m must be >= 1, got {config.m}")
-    if config.m not in M_WINDOW_PAIRS and not config.window_force:
-        raise ConfigError(
-            f"train.m must be one of {sorted(M_WINDOW_PAIRS)} unless window.force = true"
-        )
     if config.window_seconds <= 0:
         raise ConfigError("window.seconds must be positive")
     if config.grad_cap <= 0:
@@ -188,7 +180,9 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(f"train.max_epochs must be >= 1, got {config.max_epochs}")
     fractions = (config.split_train, config.split_validation, config.split_test)
     if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must be non-negative and sum to 1, got {fractions}")
+        raise ConfigError(
+            f"split.train, .validation and .test must be non-negative and sum to 1, got {fractions}"
+        )
     if not (0 < config.q_min < config.q_max):
         raise ConfigError("need 0 < tqwt.q_min < tqwt.q_max")
     if config.q_step <= 0:

@@ -81,6 +81,11 @@ def _replaced_tree(root: Path):
     os.replace(tmp, root)
 
 
+def _tree_files(root: Path) -> list[str]:
+    """Every file under `root`, in no particular order."""
+    return [str(p) for p in root.rglob("*") if p.is_file()]
+
+
 def _read_manifest(path: Path) -> dict | None:
     """The run manifest at `path`; None when it is absent, not JSON, not an
     object, or has no `stages` object."""
@@ -153,10 +158,8 @@ def stage_ingest(config: PipelineConfig) -> list[str]:
             meta = {"fs": record.fs, "name": name}
             (rec_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
             sources[name] = path
-    names = list(sources)
-    written = [str(out / "raw" / name / f"{channel}.npy") for name in names for channel in ("ecg", "ppg")]
-    _update_manifest(config, "ingest", [str(p) for p in files], written)
-    return names
+    _update_manifest(config, "ingest", [str(p) for p in files], _tree_files(out / "raw"))
+    return list(sources)
 
 
 @functools.lru_cache(maxsize=1)
@@ -226,7 +229,7 @@ def stage_preprocess(config: PipelineConfig) -> list[str]:
     with _replaced_tree(out / "pre") as pre:
         for name in names:
             _preprocess_record(config, table, out / "raw" / name, pre / name)
-    written = [str(out / "pre" / name / f"{channel}.npy") for name in names for channel in CHANNELS]
+    written = [*_tree_files(out / "pre"), str(out / "qtable.csv")]
     _update_manifest(config, "preprocess", names, written)
     return names
 

@@ -10,9 +10,12 @@ relationship and be scored against exact ground truth.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from bpnet.config import ConfigError
 
 
 @dataclass
@@ -33,6 +36,20 @@ class SyntheticConfig:
     sbp_slope: float = -80.0            # mmHg per second of beat-period deviation
     dbp_slope: float = -35.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for holds, rule in (
+            (0 < self.fs < math.inf, "0 < fs < inf"),
+            (0 < self.duration_s < math.inf, "0 < duration_s < inf"),
+            # the beat loop steps by 60 / (instantaneous rate), which must stay positive
+            (abs(self.hr_swing_bpm) < self.heart_rate_bpm < math.inf,
+             "abs(hr_swing_bpm) < heart_rate_bpm < inf"),
+            (self.hr_period_s > 0, "hr_period_s > 0"),
+            (0 <= self.noise_std < math.inf, "0 <= noise_std < inf"),
+            (self.seed >= 0, "seed >= 0"),
+        ):
+            if not holds:
+                raise ConfigError(f"synthetic record needs {rule}")
 
 
 @dataclass

@@ -158,18 +158,15 @@ def _afb(X: np.ndarray, s: _Stage) -> tuple[np.ndarray, np.ndarray]:
 
     lo = np.zeros((*X.shape[:-1], n_lo), dtype=complex)
     lo[..., 0] = X[..., 0]
-    if p > 0:
-        lo[..., 1 : p + 1] = X[..., 1 : p + 1]
-        lo[..., n_lo - p :] = X[..., n - p :]
-    if t > 0:
-        lo[..., p + 1 : p + t + 1] = X[..., p + 1 : p + t + 1] * s.trans
-        lo[..., n_lo - p - t : n_lo - p] = X[..., n - p - t : n - p] * s.rev
+    lo[..., 1 : p + 1] = X[..., 1 : p + 1]
+    lo[..., n_lo - p :] = X[..., n - p :]
+    lo[..., p + 1 : p + t + 1] = X[..., p + 1 : p + t + 1] * s.trans
+    lo[..., n_lo - p - t : n_lo - p] = X[..., n - p - t : n - p] * s.rev
     # lo[n_lo // 2] stays zero: the output Nyquist sits in the H0 stopband.
 
     hi = np.zeros((*X.shape[:-1], n_hi), dtype=complex)
-    if t > 0:
-        hi[..., 1 : t + 1] = X[..., p + 1 : p + t + 1] * s.rev
-        hi[..., n_hi - t :] = X[..., n - p - t : n - p] * s.trans
+    hi[..., 1 : t + 1] = X[..., p + 1 : p + t + 1] * s.rev
+    hi[..., n_hi - t :] = X[..., n - p - t : n - p] * s.trans
     # Bins t+1 .. h-1 of each half are pure passband copies.
     hi[..., t + 1 : h] = X[..., p + t + 1 : p + h]
     hi[..., h + 1 : n_hi - t] = X[..., n - p - h + 1 : n - p - t]
@@ -183,12 +180,10 @@ def _sfb(lo: np.ndarray, hi: np.ndarray, s: _Stage) -> np.ndarray:
 
     X = np.zeros((*lo.shape[:-1], n), dtype=complex)
     X[..., 0] = lo[..., 0]
-    if p > 0:
-        X[..., 1 : p + 1] = lo[..., 1 : p + 1]
-        X[..., n - p :] = lo[..., n_lo - p :]
-    if t > 0:
-        X[..., p + 1 : p + t + 1] = lo[..., p + 1 : p + t + 1] * s.trans + hi[..., 1 : t + 1] * s.rev
-        X[..., n - p - t : n - p] = lo[..., n_lo - p - t : n_lo - p] * s.rev + hi[..., n_hi - t :] * s.trans
+    X[..., 1 : p + 1] = lo[..., 1 : p + 1]
+    X[..., n - p :] = lo[..., n_lo - p :]
+    X[..., p + 1 : p + t + 1] = lo[..., p + 1 : p + t + 1] * s.trans + hi[..., 1 : t + 1] * s.rev
+    X[..., n - p - t : n - p] = lo[..., n_lo - p - t : n_lo - p] * s.rev + hi[..., n_hi - t :] * s.trans
     X[..., p + t + 1 : p + h] = hi[..., t + 1 : h]
     X[..., n - p - h + 1 : n - p - t] = hi[..., h + 1 : n_hi - t]
     X[..., n // 2] = hi[..., h]

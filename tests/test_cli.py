@@ -66,6 +66,15 @@ def test_unknown_config_key_exits_1(tmp_path, synth_csv, capsys):
     assert "train.banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--duration", "-5"), ("--heart-rate", "0"), ("--fs", "0")])
+def test_bad_synth_flag_exits_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.csv"
+    assert main(["synth", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_data_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, tmp_path / "nope.csv")
     assert main(["ingest", "--config", str(cfg)]) == 2
@@ -92,6 +101,17 @@ def test_manifest_records_config_hash_and_seed(tmp_path, synth_csv):
     assert manifest["seed"] == 9
     assert len(manifest["config_hash"]) == 16
     assert "ingest" in manifest["stages"]
+
+
+def test_manifest_lists_every_ingest_and_preprocess_output(tmp_path, synth_csv):
+    cfg = _write_config(tmp_path, synth_csv)
+    for stage in ("ingest", "preprocess"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    out = tmp_path / "out"
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    files = {tree: {str(p) for p in (out / tree).rglob("*") if p.is_file()} for tree in ("raw", "pre")}
+    assert set(stages["ingest"]["outputs"]) == files["raw"]
+    assert set(stages["preprocess"]["outputs"]) == files["pre"] | {str(out / "qtable.csv")}
 
 
 def test_manifest_records_training_blas_threads(tmp_path, synth_csv, monkeypatch):

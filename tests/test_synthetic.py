@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from bpnet.config import ConfigError
 from bpnet.recordio import read_csv_record, select_channels
 from bpnet.segmentation import build_sequences, detect_ppg_peaks, span_targets
 from bpnet.synthetic import SyntheticConfig, generate
@@ -83,3 +86,21 @@ def test_determinism():
     assert np.array_equal(a.ecg, b.ecg)
     assert np.array_equal(a.ppg, b.ppg)
     assert np.array_equal(a.abp, b.abp)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("fs", 0.0),
+        ("duration_s", -5.0),
+        ("heart_rate_bpm", 0.0),
+        ("heart_rate_bpm", math.inf),  # the beat loop would never advance
+        ("hr_swing_bpm", 75.0),  # the rate would reach zero at the swing's trough
+        ("hr_period_s", 0.0),
+        ("noise_std", -0.1),
+        ("seed", -1),
+    ],
+)
+def test_bad_setting_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SyntheticConfig(**{field: value})

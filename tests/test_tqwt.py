@@ -54,10 +54,11 @@ def test_dc_signal_energy_in_lowpass_only():
 
 
 def test_random_5000_sample_reconstruction(rng):
-    x = rng.standard_normal(5000)
-    params = TqwtParams(q=1.08, r=3.0, levels=10)
-    y = reconstruct(decompose(x, params), params)
-    assert np.max(np.abs(y - x)) <= 1e-8
+    # The second geometry's one level has no transition band (t = 0).
+    for params, n in ((TqwtParams(q=1.08, r=3.0, levels=10), 5000), (TqwtParams(q=2.0, r=1.5, levels=1), 16)):
+        x = rng.standard_normal(n)
+        y = reconstruct(decompose(x, params), params)
+        assert np.max(np.abs(y - x)) <= 1e-8
 
 
 @pytest.mark.parametrize("q", [1.0, 1.08, 1.2, 1.4])
