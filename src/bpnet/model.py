@@ -24,17 +24,22 @@ allocates no activation arrays (as cuDNN's workspace and reserve space do;
 Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
 Validation and inference run the same forward, an arena's batch at a time.
 
-When numpy's OpenBLAS runs each product on one thread and a second CPU is
-free, independent halves of the work run side by side on one helper thread:
-the backward LSTM direction beside the forward one, in both passes, and half
-of Adam's update; the dense layer, the second LSTM and the clip's scale by
-row or batch halves.  A product is split by rows only where a one-time probe
-shows that the BLAS gives the halves the bits of the whole product
-(`_halves_exact`), so the bits are those of the serial order.
+`train` and `TrainedModel.predict_batch` pin numpy's OpenBLAS to one thread
+and restore the count after, so a model's bits depend on the OpenBLAS kernel
+(`blas_kernel`), not on the thread count; the step functions called directly
+(`forward_batch`, `backward_batch`, clip, Adam) keep the process's count.  At
+one BLAS thread with a second CPU free, independent halves of the work run
+side by side on one helper thread: the backward LSTM direction beside the
+forward one, in both passes, and half of Adam's update; the dense layer, the
+second LSTM and the clip's scale by row or batch halves.  A product is split
+by rows only where a one-time probe shows that the BLAS gives the halves the
+bits of the whole product (`_halves_exact`), so the bits are those of the
+serial order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -191,29 +196,71 @@ def init_params(
 
 @functools.lru_cache(maxsize=1)
 def _openblas_num_threads():
-    """numpy's bundled OpenBLAS `get_num_threads`, or None when numpy ships no such library."""
+    """numpy's bundled OpenBLAS (get_num_threads, set_num_threads, get_corename); None if numpy has none."""
     package = os.path.dirname(np.__file__)
     # Wheels keep their shared libraries in numpy.libs beside the package (Linux,
     # Windows) or in numpy/.dylibs (macOS); loading one again returns the loaded copy.
     for path in sorted(glob.glob(os.path.join(package + ".libs", "*openblas*"))
                        + glob.glob(os.path.join(package, ".dylibs", "*openblas*"))):
         try:
-            fn = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+            lib = ctypes.CDLL(path)
+            fns = (lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_,
+                   lib.scipy_openblas_get_corename64_)
         except (OSError, AttributeError):
             continue
-        fn.argtypes, fn.restype = [], ctypes.c_int
-        return fn
+        for fn, argtypes, restype in zip(fns, ([], [ctypes.c_int], []), (ctypes.c_int, None, ctypes.c_char_p)):
+            fn.argtypes, fn.restype = argtypes, restype
+        return fns
     return None
 
 
 def blas_threads() -> Optional[int]:
     """Threads numpy's bundled OpenBLAS runs one product on; None when it is not found.
 
-    Training sums in an order that depends on this count, so it decides the
-    trained model's bits.
+    `train` and `TrainedModel.predict_batch` run at one thread whatever this
+    reads outside them.
     """
-    fn = _openblas_num_threads()
-    return None if fn is None else int(fn())
+    blas = _openblas_num_threads()
+    return None if blas is None else int(blas[0]())
+
+
+def blas_kernel() -> Optional[str]:
+    """The kernel numpy's OpenBLAS runs on this CPU (such as "SkylakeX"), which decides a trained model's bits."""
+    blas = _openblas_num_threads()
+    return None if blas is None else blas[2]().decode()
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Runs what it wraps with numpy's OpenBLAS on one thread, then restores the count.
+
+    Nested and concurrent calls share the pin: the first in sets one thread,
+    the last out restores the count the first found.  At one thread already,
+    or without OpenBLAS, it calls no setter.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.inside = 0
+        self.restore = None  # sets the count back, when the pin changed it
+
+    def __enter__(self) -> None:
+        with self.lock:
+            blas = None if self.inside else _openblas_num_threads()
+            count = 1 if blas is None else blas[0]()
+            if count != 1:
+                blas[1](1)
+                self.restore = functools.partial(blas[1], count)
+            self.inside += 1
+
+    def __exit__(self, *exc) -> None:
+        with self.lock:
+            self.inside -= 1
+            if not self.inside and self.restore is not None:
+                self.restore()
+                self.restore = None
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def _lanes_pay() -> bool:
@@ -300,13 +347,14 @@ def _side_by_side(mine, theirs):
 
 
 @functools.lru_cache(maxsize=256)
-def _halves_exact(m: int, k: int, n: int, a_transposed: bool = False, b_transposed: bool = False) -> bool:
+def _halves_exact(m: int, k: int, n: int, a_transposed: bool = False, b_transposed: bool = False, *, threads=None) -> bool:
     """Whether BLAS gives an (m, k) @ (k, n) product the same bits whole and as two row halves.
 
     A transposed operand is the transpose of a C-ordered array, as ``x.T``
     is.  The answer depends on the shape and layout, not the values (the
     library may pick another kernel, and so another summation order, for
-    fewer rows), so random operands of exactly that shape decide it once.
+    fewer rows), so random operands of exactly that shape decide it once
+    for each `threads`, the BLAS thread count the caller runs products at.
     """
     if m < 2:
         return False
@@ -328,7 +376,7 @@ def _halves(n: int, fn, *products) -> None:
     function of this module.
     """
     lane = _claim_lane() if n >= 2 else None
-    if lane is not None and not all(_halves_exact(*p) for p in products):
+    if lane is not None and not all(_halves_exact(*p, threads=blas_threads()) for p in products):
         lane.lock.release()
         lane = None
     if lane is None:
@@ -784,8 +832,9 @@ def _mean_loss(params: ModelParams, sequences: Sequences, arena: StepArena) -> f
     return float(np.sum((_outputs(params, sequences, arena) - y) ** 2)) / y.size
 
 
+@_one_blas_thread
 def train(dataset: DatasetSplit, config: PipelineConfig) -> tuple[ModelParams, TrainHistory]:
-    """Mini-batch training with gradient clipping, Adam, and early stopping.
+    """Mini-batch training with gradient clipping, Adam, and early stopping, at one BLAS thread.
 
     Reads the config's batch size, learning rate, gradient cap, epoch limit,
     patience and seed.  Weights start from ``init_params(config.seed)``.
@@ -861,8 +910,9 @@ class TrainedModel:
             raise ModelError(f"sequence shape {seq.shape} does not match trained M={self.m}")
         return TargetPair(*self.predict_batch(seq[None])[0].tolist())
 
+    @_one_blas_thread
     def predict_batch(self, x) -> np.ndarray:
-        """Final-step (SBP, DBP) rows for (N, M, input_dim) standardized sequences or a Sequences.
+        """Final-step (SBP, DBP) rows for (N, M, input_dim) standardized sequences or a Sequences, at one BLAS thread.
 
         A Sequences is gathered from its row table a chunk at a time, never M-fold as a whole.
         """

@@ -5,7 +5,8 @@ writes its own atomically (write-temp-then-rename), so re-running a stage
 with unchanged inputs reproduces byte-identical artifacts.  `ingest` and
 `preprocess` build their whole record tree (`raw/`, `pre/`) in a temporary
 sibling that replaces the old tree only on success, so a rerun leaves no
-stale record and a failure no partial one.  A manifest keyed by the
+stale record and a failure no partial one; `train` builds `models/` the same
+way and removes the other training mode's models.  A manifest keyed by the
 resolved config hash records every stage's inputs and outputs.
 """
 
@@ -27,7 +28,7 @@ from bpnet.config import PipelineConfig
 from bpnet.evaluate import assemble_report, tracking_export
 from bpnet.model import (
     TrainedModel,
-    blas_threads,
+    blas_kernel,
     load_model,
     save_model,
     train,
@@ -336,33 +337,32 @@ def stage_train(config: PipelineConfig) -> list[str]:
     if config.pooled:
         params, history = train(split, config)
         save_model(TrainedModel(params, config.m, split.stats), out / "model.bpnet")
+        shutil.rmtree(out / "models", ignore_errors=True)  # the other mode's models
         written.append(str(out / "model.bpnet"))
         for e, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
             history_rows.append(f"pooled,{e},{tl:.8g},{vl:.8g}")
     else:
-        models_dir = out / "models"
-        models_dir.mkdir(parents=True, exist_ok=True)
         patients = np.unique(split.train.patient).tolist()
         index_rows = ["patient,model_file"]
-        for patient in patients:
-            subset = _patient_subset(split, patient)
-            if not subset.train or not subset.validation:
-                continue
-            params, history = train(subset, config)
-            path = models_dir / f"{patient}.bpnet"
-            save_model(TrainedModel(params, config.m, split.stats), path)
-            written.append(str(path))
-            index_rows.append(f"{patient},{path.name}")
-            for e, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
-                history_rows.append(f"{patient},{e},{tl:.8g},{vl:.8g}")
-        _atomic_text(models_dir / "index.csv", "\n".join(index_rows) + "\n")
-        written.append(str(models_dir / "index.csv"))
+        with _replaced_tree(out / "models") as models_dir:
+            for patient in patients:
+                subset = _patient_subset(split, patient)
+                if not subset.train or not subset.validation:
+                    continue
+                params, history = train(subset, config)
+                save_model(TrainedModel(params, config.m, split.stats), models_dir / f"{patient}.bpnet")
+                index_rows.append(f"{patient},{patient}.bpnet")
+                for e, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
+                    history_rows.append(f"{patient},{e},{tl:.8g},{vl:.8g}")
+            (models_dir / "index.csv").write_text("\n".join(index_rows) + "\n")
+        (out / "model.bpnet").unlink(missing_ok=True)  # the other mode's model
+        written += sorted(_tree_files(out / "models"))
     _atomic_text(out / "history.csv", "\n".join(history_rows) + "\n")
     written.append(str(out / "history.csv"))
-    threads = blas_threads()  # the products' summation order, hence the models' bits, depend on it
+    kernel = blas_kernel()  # train runs one BLAS thread, so the kernel decides the models' bits
     _update_manifest(
         config, "train", [str(out / "dataset.bpseq")], written,
-        blas_threads="unknown" if threads is None else threads,
+        blas_threads="unknown" if kernel is None else 1, blas_kernel=kernel or "unknown",
     )
     return written
 

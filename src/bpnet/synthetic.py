@@ -41,6 +41,7 @@ class SyntheticConfig:
         for holds, rule in (
             (0 < self.fs < math.inf, "0 < fs < inf"),
             (0 < self.duration_s < math.inf, "0 < duration_s < inf"),
+            (self.duration_s * self.fs >= 1, "int(duration_s * fs) >= 1, one sample at least"),
             # the beat loop steps by 60 / (instantaneous rate), which must stay positive
             (abs(self.hr_swing_bpm) < self.heart_rate_bpm < math.inf,
              "abs(hr_swing_bpm) < heart_rate_bpm < inf"),

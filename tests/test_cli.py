@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +70,9 @@ def test_unknown_config_key_exits_1(tmp_path, synth_csv, capsys):
     assert "train.banana" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--duration", "-5"), ("--heart-rate", "0"), ("--fs", "0")])
+@pytest.mark.parametrize(
+    "flag, value", [("--duration", "-5"), ("--heart-rate", "0"), ("--fs", "0"), ("--fs", "0.001")]
+)
 def test_bad_synth_flag_exits_1(tmp_path, capsys, flag, value):
     out = tmp_path / "r.csv"
     assert main(["synth", "--out", str(out), flag, value]) == 1
@@ -115,19 +121,39 @@ def test_manifest_lists_every_ingest_and_preprocess_output(tmp_path, synth_csv):
 
 
 def test_manifest_records_training_blas_threads(tmp_path, synth_csv, monkeypatch):
-    from bpnet import model, pipeline
+    from bpnet import model
 
     cfg = _write_config(tmp_path, synth_csv)
     for stage in ("ingest", "preprocess", "segment", "train"):
         assert main([stage, "--config", str(cfg)]) == 0, stage
     path = tmp_path / "out" / "manifest.json"
-    threads = model.blas_threads()
-    assert json.loads(path.read_text())["stages"]["train"]["blas_threads"] == (
-        "unknown" if threads is None else threads
-    )
-    monkeypatch.setattr(pipeline, "blas_threads", lambda: None)  # a numpy without OpenBLAS
+    kernel = model.blas_kernel()
+    facts = json.loads(path.read_text())["stages"]["train"]
+    # train pins one thread whatever the process's count, so the kernel decides the bits.
+    assert (facts["blas_threads"], facts["blas_kernel"]) == (("unknown",) * 2 if kernel is None else (1, kernel))
+    monkeypatch.setattr(model, "_openblas_num_threads", lambda: None)  # a numpy without OpenBLAS
     assert main(["train", "--config", str(cfg)]) == 0
-    assert json.loads(path.read_text())["stages"]["train"]["blas_threads"] == "unknown"
+    facts = json.loads(path.read_text())["stages"]["train"]
+    assert (facts["blas_threads"], facts["blas_kernel"]) == ("unknown", "unknown")
+
+
+def test_switching_train_mode_leaves_only_this_modes_models(tmp_path):
+    data = tmp_path / "data"
+    for name, seed in (("pa", 4), ("pb", 5)):
+        assert main(["synth", "--out", str(data / f"{name}.csv"), "--duration", "70", "--seed", str(seed)]) == 0
+    cfg = _write_config(tmp_path, data)
+    for stage in ("ingest", "preprocess", "segment"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    out = tmp_path / "out"
+    for pooled, models in (("true", {"model.bpnet"}),
+                           ("false", {"models/index.csv", "models/pa.bpnet", "models/pb.bpnet"}),
+                           ("true", {"model.bpnet"})):
+        cfg = _write_config(tmp_path, data, extra=f"train.pooled = {pooled}\n")
+        assert main(["train", "--config", str(cfg)]) == 0, pooled
+        present = {str(p.relative_to(out)) for p in (*out.glob("model.bpnet"), *out.glob("models*/*"))}
+        assert present == models, pooled
+        outputs = json.loads((out / "manifest.json").read_text())["stages"]["train"]["outputs"]
+        assert outputs == sorted(str(out / f) for f in models | {"history.csv"}), pooled
 
 
 def test_repeat_runs_byte_identical_artifacts(tmp_path, synth_csv):
@@ -144,6 +170,31 @@ def test_repeat_runs_byte_identical_artifacts(tmp_path, synth_csv):
         assert main([stage, "--config", str(cfg)]) == 0
     for name, payload in first.items():
         assert (out / name).read_bytes() == payload, name
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    trees = {}
+    for threads in ("unset", "1", "2"):
+        work = tmp_path / threads
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_synthetic_e2e.py"),
+             "--duration", "120", "--epochs", "2", "--workdir", str(work)],
+            env=env if threads == "unset" else {**env, "OPENBLAS_NUM_THREADS": threads},
+            check=True, capture_output=True, timeout=600,
+        )
+        out = work / "out"
+        # manifest.json records absolute paths, so it differs between workdirs.
+        trees[threads] = {str(p.relative_to(out)): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
+    first = trees.pop("1")
+    assert "model.bpnet" in first
+    for threads, tree in trees.items():
+        assert tree.keys() == first.keys(), threads
+        assert sorted(name for name in first if tree[name] != first[name]) == [], threads
 
 
 def test_training_divergence_exits_3(tmp_path, synth_csv, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -24,6 +25,7 @@ from bpnet.model import (
     NonFiniteActivation,
     StepArena,
     TrainedModel,
+    TrainingDiverged,
     _outputs,
     adam_step,
     backward_batch,
@@ -593,7 +595,7 @@ class TestLaneMechanics:
             original(n, record, *products)
 
         monkeypatch.setattr(bpmodel, "_halves", spy)
-        monkeypatch.setattr(bpmodel, "_halves_exact", lambda *shape: False)
+        monkeypatch.setattr(bpmodel, "_halves_exact", lambda *shape, threads: False)
         _use_lane(monkeypatch, True)
         assert _step_bits(params, x, y) == inline
         products = [call for call in calls if call[3]]
@@ -695,9 +697,14 @@ class TestInference:
         # reference, since a 1-sequence tail chunk takes another BLAS path.
         model = TrainedModel(init_params(33), m=10, stats=ChannelStats(0.0, 1.0, 0.0, 1.0))
         x = rng.standard_normal((n, 10, FEATURE_DIM))
-        chunks = [forward_batch(model.params, x[lo : lo + INFER_CHUNK])[0] for lo in range(0, n, INFER_CHUNK)]
-        expected = np.concatenate(chunks)
-        assert _same_bits(_outputs(model.params, x), expected)
+
+        def chunked():
+            return np.concatenate([forward_batch(model.params, x[lo : lo + INFER_CHUNK])[0]
+                                   for lo in range(0, n, INFER_CHUNK)])
+
+        assert _same_bits(_outputs(model.params, x), chunked())
+        with bpmodel._one_blas_thread:  # the thread count predict_batch runs at
+            expected = chunked()
         assert _same_bits(model.predict_batch(x), expected[:, -1, :])
 
     def test_predict_batch_of_no_sequences(self, rng):
@@ -795,6 +802,67 @@ class TestTrain:
         empty = DatasetSplit(dataset.train[:0], dataset.validation, dataset.test, dataset.stats)
         with pytest.raises(ModelError, match="non-empty"):
             train(empty, PipelineConfig())
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads, set through the symbol the pin uses; reset afterwards."""
+    blas = bpmodel._openblas_num_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    found = blas[0]()
+    blas[1](2)
+    try:
+        if bpmodel.blas_threads() != 2:
+            pytest.skip("OpenBLAS does not take a second thread here")
+        yield
+    finally:
+        blas[1](found)
+
+
+class TestBlasPin:
+    CONFIG = PipelineConfig(batch_size=8, max_epochs=2, patience=5, seed=4)
+
+    def test_train_runs_one_thread_and_restores_the_count(self, rng, monkeypatch, two_blas_threads):
+        seen, forward = [], bpmodel.forward_batch
+
+        def spy(*args):
+            seen.append(bpmodel.blas_threads())
+            return forward(*args)
+
+        monkeypatch.setattr(bpmodel, "forward_batch", spy)
+        dataset = _toy_dataset(rng)
+        model = TrainedModel(train(dataset, self.CONFIG)[0], m=4, stats=dataset.stats)
+        assert bpmodel.blas_threads() == 2
+        model.predict_batch(dataset.test)
+        assert bpmodel.blas_threads() == 2
+        assert seen and set(seen) == {1}
+
+    def test_a_diverging_train_restores_the_count(self, rng, two_blas_threads):
+        dataset = _toy_dataset(rng)
+        dataset.train.targets[:] = 1e200  # the squared error overflows
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
+            train(dataset, self.CONFIG)
+        assert bpmodel.blas_threads() == 2
+
+    def test_threads_training_at_once_share_the_pin(self, rng, two_blas_threads):
+        dataset = _toy_dataset(rng, count=20)
+        serial = train(dataset, self.CONFIG)[0].flat.tobytes()
+        results = []
+        workers = [threading.Thread(target=lambda: results.append(train(dataset, self.CONFIG)[0].flat.tobytes()),
+                                    daemon=True) for _ in range(3)]  # more threads than a two-CPU machine has
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert results == [serial] * 3  # a pin released early would let BLAS threading change bits
+        assert bpmodel.blas_threads() == 2
 
 
 def _tiny_model(seed: int, m: int = 6) -> TrainedModel:

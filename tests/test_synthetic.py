@@ -92,6 +92,7 @@ def test_determinism():
     "field, value",
     [
         ("fs", 0.0),
+        ("fs", 0.001),  # 120 s at 0.001 Hz is not one sample
         ("duration_s", -5.0),
         ("heart_rate_bpm", 0.0),
         ("heart_rate_bpm", math.inf),  # the beat loop would never advance
