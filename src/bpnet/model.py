@@ -48,6 +48,7 @@ import os
 import queue
 import struct
 import threading
+import warnings
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -234,22 +235,29 @@ class _OneBlasThread(contextlib.ContextDecorator):
     """Runs what it wraps with numpy's OpenBLAS on one thread, then restores the count.
 
     Nested and concurrent calls share the pin: the first in sets one thread,
-    the last out restores the count the first found.  At one thread already,
-    or without OpenBLAS, it calls no setter.
+    the last out restores the count the first found.  At one thread already
+    it calls no setter.  Without numpy's OpenBLAS it pins nothing and warns,
+    once per process, that the bits may then follow the BLAS thread count.
     """
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.inside = 0
         self.restore = None  # sets the count back, when the pin changed it
+        self.warned = False
 
     def __enter__(self) -> None:
         with self.lock:
-            blas = None if self.inside else _openblas_num_threads()
-            count = 1 if blas is None else blas[0]()
-            if count != 1:
-                blas[1](1)
-                self.restore = functools.partial(blas[1], count)
+            if not self.inside:
+                blas = _openblas_num_threads()
+                if blas is None:
+                    if not self.warned:
+                        self.warned = True
+                        warnings.warn("numpy's bundled OpenBLAS was not found, so training and inference run "
+                                      "unpinned: their bits may depend on the BLAS thread count", RuntimeWarning)
+                elif (count := blas[0]()) != 1:
+                    blas[1](1)
+                    self.restore = functools.partial(blas[1], count)
             self.inside += 1
 
     def __exit__(self, *exc) -> None:
@@ -376,9 +384,15 @@ def _halves(n: int, fn, *products) -> None:
     function of this module.
     """
     lane = _claim_lane() if n >= 2 else None
-    if lane is not None and not all(_halves_exact(*p, threads=blas_threads()) for p in products):
-        lane.lock.release()
-        lane = None
+    if lane is not None:
+        try:
+            exact = all(_halves_exact(*p, threads=blas_threads()) for p in products)
+        except BaseException:
+            lane.lock.release()
+            raise
+        if not exact:
+            lane.lock.release()
+            lane = None
     if lane is None:
         fn(0, n)
     else:

@@ -173,7 +173,7 @@ def _q_table(fs: float, levels: int, q_min: float, q_max: float, q_step: float, 
 
 
 CHANNELS = ("ecg", "ppg")
-STACK_ROWS = 64  # ~250 KB of transform workspace per row: bounds memory on long records
+STACK_ROWS = 64  # ~160 KB of denoising workspace per row (2000-sample window): bounds memory on long records
 
 
 def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre_dir: Path) -> None:
@@ -362,7 +362,7 @@ def stage_train(config: PipelineConfig) -> list[str]:
     kernel = blas_kernel()  # train runs one BLAS thread, so the kernel decides the models' bits
     _update_manifest(
         config, "train", [str(out / "dataset.bpseq")], written,
-        blas_threads="unknown" if kernel is None else 1, blas_kernel=kernel or "unknown",
+        blas_threads="unpinned" if kernel is None else 1, blas_kernel=kernel or "unknown",
     )
     return written
 

@@ -11,6 +11,7 @@ sequence, each step paired with the SBP/DBP read from the ABP over its span.
 from __future__ import annotations
 
 import csv
+import mmap
 import struct
 import warnings
 from collections.abc import Iterable
@@ -35,6 +36,20 @@ class SegmentationError(ValueError):
 
 class DatasetError(ValueError):
     """Malformed or inconsistent BPSEQ2 container or manifest."""
+
+
+def _mapped_table(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised (rows, cols) float64 table in an anonymous mapping of its own.
+
+    malloc maps a table this large only until the first such mapping is
+    freed; glibc then raises its mmap threshold, later tables land on the brk
+    heap, and when a live chunk splits the heap's free space the heap grows
+    by a whole table.  A mapping of its own is returned to the system when
+    the table dies, on every pass alike.
+    """
+    if rows * cols == 0:  # mmap refuses an empty mapping
+        return np.empty((rows, cols))
+    return np.frombuffer(mmap.mmap(-1, rows * cols * 8), dtype=np.float64).reshape(rows, cols)
 
 
 @dataclass(eq=False)
@@ -85,12 +100,14 @@ class Sequences:
         part is copied in as it arrives, so a generator's parts need not all
         be alive at once; `rows` must be at least their total row count, and
         the returned table is cut to that total.  Without it, the parts are
-        listed and counted first.
+        listed and counted first.  The features live in an anonymous mapping
+        (see `_mapped_table`), so peak memory does not depend on what earlier
+        tables left behind in the heap.
         """
         if rows is None:
             parts = list(parts)
             rows = sum(len(p.vectors) for p in parts)
-        vectors, targets = np.empty((rows, FEATURE_DIM)), np.empty((rows, 2))
+        vectors, targets = _mapped_table(rows, FEATURE_DIM), np.empty((rows, 2))
         first, patient, start = [], [], []
         used, m = 0, None
         for part in parts:

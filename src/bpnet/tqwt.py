@@ -13,6 +13,13 @@ frame: reconstruction of unmodified subbands reproduces the input to floating
 point accuracy.  Signals are zero-extended to the next power of two
 internally and truncated on synthesis.
 
+Every level works on one-sided unitary spectra, bins 0 .. n/2 of a length-n
+signal (np.fft.rfft / irfft with norm="ortho").  The signals are real, so
+their DFT is Hermitian, X[n - k] = conj(X[k]); both filters are real and
+even in frequency, so each band's spectrum stays Hermitian and its negative
+half only repeats the positive one.  Keeping the positive half halves every
+FFT and band copy and gives the same subbands as the full complex spectra.
+
 Both directions work along the last axis, so a (K, N) stack of signals that
 share one Q goes through every FFT and band copy in one call.  Each level's
 geometry (lengths, bin counts, transition weights) is computed once per
@@ -153,50 +160,29 @@ def _layout(n_padded: int, params: TqwtParams) -> tuple[_Stage, ...]:
 
 
 def _afb(X: np.ndarray, s: _Stage) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis stage on unitary DFT rows (last axis)."""
-    n, n_lo, n_hi, p, t, h = s.n_in, s.n_lo, s.n_hi, s.p, s.t, s.n_hi // 2
+    """One analysis stage on one-sided unitary DFT rows (last axis, bins 0 .. n/2)."""
+    p, t = s.p, s.t
+    lo = np.empty((*X.shape[:-1], s.n_lo // 2 + 1), dtype=complex)
+    lo[..., : p + 1] = X[..., : p + 1]
+    np.multiply(X[..., p + 1 : p + t + 1], s.trans, out=lo[..., p + 1 : p + t + 1])
+    lo[..., p + t + 1] = 0.0  # the output Nyquist, n_lo / 2, sits in the H0 stopband
 
-    lo = np.zeros((*X.shape[:-1], n_lo), dtype=complex)
-    lo[..., 0] = X[..., 0]
-    lo[..., 1 : p + 1] = X[..., 1 : p + 1]
-    lo[..., n_lo - p :] = X[..., n - p :]
-    lo[..., p + 1 : p + t + 1] = X[..., p + 1 : p + t + 1] * s.trans
-    lo[..., n_lo - p - t : n_lo - p] = X[..., n - p - t : n - p] * s.rev
-    # lo[n_lo // 2] stays zero: the output Nyquist sits in the H0 stopband.
-
-    hi = np.zeros((*X.shape[:-1], n_hi), dtype=complex)
-    hi[..., 1 : t + 1] = X[..., p + 1 : p + t + 1] * s.rev
-    hi[..., n_hi - t :] = X[..., n - p - t : n - p] * s.trans
-    # Bins t+1 .. h-1 of each half are pure passband copies.
-    hi[..., t + 1 : h] = X[..., p + t + 1 : p + h]
-    hi[..., h + 1 : n_hi - t] = X[..., n - p - h + 1 : n - p - t]
-    hi[..., h] = X[..., n // 2]
+    hi = np.empty((*X.shape[:-1], s.n_hi // 2 + 1), dtype=complex)
+    hi[..., 0] = 0.0
+    np.multiply(X[..., p + 1 : p + t + 1], s.rev, out=hi[..., 1 : t + 1])
+    # Bins t+1 .. n_hi/2 are pure passband copies, up to the input Nyquist n/2 = p + n_hi/2.
+    hi[..., t + 1 :] = X[..., p + t + 1 :]
     return lo, hi
 
 
 def _sfb(lo: np.ndarray, hi: np.ndarray, s: _Stage) -> np.ndarray:
-    """Exact adjoint of :func:`_afb`; returns the parent DFT rows."""
-    n, n_lo, n_hi, p, t, h = s.n_in, s.n_lo, s.n_hi, s.p, s.t, s.n_hi // 2
-
-    X = np.zeros((*lo.shape[:-1], n), dtype=complex)
-    X[..., 0] = lo[..., 0]
-    X[..., 1 : p + 1] = lo[..., 1 : p + 1]
-    X[..., n - p :] = lo[..., n_lo - p :]
+    """Exact adjoint of :func:`_afb`; returns the parent one-sided DFT rows."""
+    p, t = s.p, s.t
+    X = np.empty((*lo.shape[:-1], s.n_in // 2 + 1), dtype=complex)
+    X[..., : p + 1] = lo[..., : p + 1]
     X[..., p + 1 : p + t + 1] = lo[..., p + 1 : p + t + 1] * s.trans + hi[..., 1 : t + 1] * s.rev
-    X[..., n - p - t : n - p] = lo[..., n_lo - p - t : n_lo - p] * s.rev + hi[..., n_hi - t :] * s.trans
-    X[..., p + t + 1 : p + h] = hi[..., t + 1 : h]
-    X[..., n - p - h + 1 : n - p - t] = hi[..., h + 1 : n_hi - t]
-    X[..., n // 2] = hi[..., h]
+    X[..., p + t + 1 :] = hi[..., t + 1 :]
     return X
-
-
-def _udft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x) / math.sqrt(x.shape[-1])
-
-
-def _iudft(X: np.ndarray) -> np.ndarray:
-    # A contiguous copy: the real view would keep the complex buffer alive.
-    return np.real(np.fft.ifft(X) * math.sqrt(X.shape[-1])).copy()
 
 
 def decompose(signal: np.ndarray, params: TqwtParams) -> SubbandSet:
@@ -220,15 +206,12 @@ def decompose(signal: np.ndarray, params: TqwtParams) -> SubbandSet:
             f"(need >= {params.min_signal_length()} samples)"
         )
 
-    padded = np.zeros((*x.shape[:-1], n_padded))
-    padded[..., :n_signal] = x
-    X = _udft(padded)
-
+    X = np.fft.rfft(x, n_padded, norm="ortho")  # zero-extends to n_padded
     highpass: list[np.ndarray] = []
     for stage in _layout(n_padded, params):
         X, hi = _afb(X, stage)
-        highpass.append(_iudft(hi))
-    return SubbandSet(highpass, _iudft(X), n_signal, n_padded)
+        highpass.append(np.fft.irfft(hi, stage.n_hi, norm="ortho"))
+    return SubbandSet(highpass, np.fft.irfft(X, stage.n_lo, norm="ortho"), n_signal, n_padded)
 
 
 def reconstruct(subbands: SubbandSet, params: TqwtParams) -> np.ndarray:
@@ -248,10 +231,10 @@ def reconstruct(subbands: SubbandSet, params: TqwtParams) -> np.ndarray:
     if subbands.lowpass.shape[-1] != stages[-1].n_lo:
         raise TqwtError("lowpass length mismatch")
 
-    X = _udft(subbands.lowpass)
+    X = np.fft.rfft(subbands.lowpass, norm="ortho")
     for stage, band in zip(reversed(stages), reversed(subbands.highpass)):
-        X = _sfb(X, _udft(band), stage)
-    return _iudft(X)[..., : subbands.n_signal]
+        X = _sfb(X, np.fft.rfft(band, norm="ortho"), stage)
+    return np.fft.irfft(X, subbands.n_padded, norm="ortho")[..., : subbands.n_signal]
 
 
 def _level_response(w: np.ndarray, params: TqwtParams, level: int) -> np.ndarray:

@@ -130,11 +130,13 @@ def test_manifest_records_training_blas_threads(tmp_path, synth_csv, monkeypatch
     kernel = model.blas_kernel()
     facts = json.loads(path.read_text())["stages"]["train"]
     # train pins one thread whatever the process's count, so the kernel decides the bits.
-    assert (facts["blas_threads"], facts["blas_kernel"]) == (("unknown",) * 2 if kernel is None else (1, kernel))
+    assert (facts["blas_threads"], facts["blas_kernel"]) == (("unpinned", "unknown") if kernel is None else (1, kernel))
     monkeypatch.setattr(model, "_openblas_num_threads", lambda: None)  # a numpy without OpenBLAS
-    assert main(["train", "--config", str(cfg)]) == 0
+    monkeypatch.setattr(model._one_blas_thread, "warned", False)
+    with pytest.warns(RuntimeWarning, match="unpinned"):
+        assert main(["train", "--config", str(cfg)]) == 0
     facts = json.loads(path.read_text())["stages"]["train"]
-    assert (facts["blas_threads"], facts["blas_kernel"]) == ("unknown", "unknown")
+    assert (facts["blas_threads"], facts["blas_kernel"]) == ("unpinned", "unknown")
 
 
 def test_switching_train_mode_leaves_only_this_modes_models(tmp_path):

@@ -673,6 +673,19 @@ class TestLaneMechanics:
                                       lambda: threading.current_thread().name)
         assert names == (threading.current_thread().name, "bpnet-lane")
 
+    def test_a_failing_probe_frees_the_lane(self, monkeypatch):
+        _use_lane(monkeypatch, True)
+
+        def probe(*shape, threads):
+            raise TypeError("probe failed")
+
+        monkeypatch.setattr(bpmodel, "_halves_exact", probe)
+        with pytest.raises(TypeError, match="probe failed"):
+            bpmodel._halves(4, lambda lo, hi: None, (4, 3, 2))
+        lane = bpmodel._claim_lane()
+        assert lane is not None, "the lane stayed claimed after its probe raised"
+        lane.lock.release()
+
     def test_the_lane_keeps_nothing_a_finished_pair_closed_over(self, monkeypatch):
         _use_lane(monkeypatch, True)
 
@@ -863,6 +876,17 @@ class TestBlasPin:
         assert not any(w.is_alive() for w in workers)
         assert results == [serial] * 3  # a pin released early would let BLAS threading change bits
         assert bpmodel.blas_threads() == 2
+
+    def test_without_openblas_the_pin_warns_once_and_sets_nothing(self, rng, monkeypatch):
+        monkeypatch.setattr(bpmodel, "_openblas_num_threads", lambda: None)  # a numpy without OpenBLAS
+        monkeypatch.setattr(bpmodel._one_blas_thread, "warned", False)
+        dataset = _toy_dataset(rng)
+        with pytest.warns(RuntimeWarning, match="unpinned") as caught:
+            params = train(dataset, self.CONFIG)[0]
+            TrainedModel(params, m=4, stats=dataset.stats).predict_batch(dataset.test)
+            train(dataset, self.CONFIG)
+        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+        assert bpmodel._one_blas_thread.restore is None and bpmodel._one_blas_thread.inside == 0
 
 
 def _tiny_model(seed: int, m: int = 6) -> TrainedModel:

@@ -617,6 +617,14 @@ class TestSequencesTable:
         with pytest.raises(ValueError, match="no parts"):
             Sequences.concat(iter([]), 5)
 
+    @pytest.mark.parametrize("rows", [None, 0])
+    def test_concat_of_no_rows(self, rows):
+        empty = _toy_samples(1)[:0]
+        empty.vectors, empty.targets = empty.vectors[:0], empty.targets[:0]
+        joined = Sequences.concat([empty, empty], rows)
+        assert len(joined) == 0
+        assert joined.vectors.shape == (0, FEATURE_DIM) and joined.targets.shape == (0, 2)
+
     def test_shared_rows_standardized_once(self):
         samples = _toy_samples(50)
         raw = samples.input_array().copy()

@@ -14,6 +14,7 @@ from bpnet.tqwt import (
     SubbandSet,
     TqwtError,
     TqwtParams,
+    _layout,
     _next_pow2,
     _theta,
     build_q_lookup,
@@ -379,3 +380,98 @@ def test_stacked_reconstruction_property(data, k, q):
     y = reconstruct(decompose(x, params), params)
     assert np.max(np.abs(y - x)) <= 1e-8
     _assert_rows_bitwise(y, [reconstruct(decompose(row, params), params) for row in x])
+
+
+# Reference: the full-spectrum filter bank the one-sided one replaced.  Each
+# level keeps all n bins of the unitary DFT and copies the negative half
+# beside the positive one.
+def _ref_afb(X, s):
+    n, n_lo, n_hi, p, t, h = s.n_in, s.n_lo, s.n_hi, s.p, s.t, s.n_hi // 2
+    lo = np.zeros((*X.shape[:-1], n_lo), dtype=complex)
+    lo[..., 0] = X[..., 0]
+    lo[..., 1 : p + 1] = X[..., 1 : p + 1]
+    lo[..., n_lo - p :] = X[..., n - p :]
+    lo[..., p + 1 : p + t + 1] = X[..., p + 1 : p + t + 1] * s.trans
+    lo[..., n_lo - p - t : n_lo - p] = X[..., n - p - t : n - p] * s.rev
+    hi = np.zeros((*X.shape[:-1], n_hi), dtype=complex)
+    hi[..., 1 : t + 1] = X[..., p + 1 : p + t + 1] * s.rev
+    hi[..., n_hi - t :] = X[..., n - p - t : n - p] * s.trans
+    hi[..., t + 1 : h] = X[..., p + t + 1 : p + h]
+    hi[..., h + 1 : n_hi - t] = X[..., n - p - h + 1 : n - p - t]
+    hi[..., h] = X[..., n // 2]
+    return lo, hi
+
+
+def _ref_sfb(lo, hi, s):
+    n, n_lo, n_hi, p, t, h = s.n_in, s.n_lo, s.n_hi, s.p, s.t, s.n_hi // 2
+    X = np.zeros((*lo.shape[:-1], n), dtype=complex)
+    X[..., 0] = lo[..., 0]
+    X[..., 1 : p + 1] = lo[..., 1 : p + 1]
+    X[..., n - p :] = lo[..., n_lo - p :]
+    X[..., p + 1 : p + t + 1] = lo[..., p + 1 : p + t + 1] * s.trans + hi[..., 1 : t + 1] * s.rev
+    X[..., n - p - t : n - p] = lo[..., n_lo - p - t : n_lo - p] * s.rev + hi[..., n_hi - t :] * s.trans
+    X[..., p + t + 1 : p + h] = hi[..., t + 1 : h]
+    X[..., n - p - h + 1 : n - p - t] = hi[..., h + 1 : n_hi - t]
+    X[..., n // 2] = hi[..., h]
+    return X
+
+
+def _ref_udft(x):
+    return np.fft.fft(x) / math.sqrt(x.shape[-1])
+
+
+def _ref_iudft(X):
+    return np.real(np.fft.ifft(X) * math.sqrt(X.shape[-1])).copy()
+
+
+def _ref_decompose(x, params):
+    n_padded = _next_pow2(x.shape[-1])
+    padded = np.zeros((*x.shape[:-1], n_padded))
+    padded[..., : x.shape[-1]] = x
+    X, highpass = _ref_udft(padded), []
+    for stage in _layout(n_padded, params):
+        X, hi = _ref_afb(X, stage)
+        highpass.append(_ref_iudft(hi))
+    return SubbandSet(highpass, _ref_iudft(X), x.shape[-1], n_padded)
+
+
+def _ref_reconstruct(sb, params):
+    X = _ref_udft(sb.lowpass)
+    for stage, band in zip(reversed(_layout(sb.n_padded, params)), reversed(sb.highpass)):
+        X = _ref_sfb(X, _ref_udft(band), stage)
+    return _ref_iudft(X)[..., : sb.n_signal]
+
+
+def _assert_rows_close(got, want, peaks):
+    assert got.shape == want.shape
+    assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-12 * peaks)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.08, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("r", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("levels", [1, 3, 10])
+def test_one_sided_bank_matches_full_spectrum_reference(q, r, levels, rng):
+    params = TqwtParams(q=q, r=r, levels=levels)
+    n_min = params.min_signal_length()
+    # The minimum and one past it, odd lengths and lengths that are not a power of two.
+    for n in sorted({n_min, n_min + 1, max(n_min, 777), max(n_min, 1000), max(n_min, 2000) + 1}):
+        try:
+            _layout(_next_pow2(n), params)
+        except TqwtError:  # at Q 3, r 1.5, 10 levels, rounding leaves 257 samples no transition band
+            continue
+        x = rng.standard_normal((3, n)) * np.array([[1.0], [1e3], [1e-3]])
+        peaks = np.max(np.abs(x), axis=-1)
+        sb, ref = decompose(x, params), _ref_decompose(x, params)
+        assert sb.n_padded == ref.n_padded and sb.levels == ref.levels
+        for got, want in zip([*sb.highpass, sb.lowpass], [*ref.highpass, ref.lowpass]):
+            _assert_rows_close(got, want, peaks)
+        _assert_rows_close(reconstruct(sb, params), _ref_reconstruct(ref, params), peaks)
+        _assert_rows_close(reconstruct(sb, params), x, peaks)
+        # Synthesis alone, from subbands no analysis produced.
+        free = SubbandSet([rng.standard_normal(h.shape) for h in sb.highpass], rng.standard_normal(sb.lowpass.shape),
+                          n, sb.n_padded)
+        want = _ref_reconstruct(free, params)
+        _assert_rows_close(reconstruct(free, params), want, np.max(np.abs(want), axis=-1))
+        # Parseval, row by row: the subbands hold exactly the signal's energy.
+        energy = sum(np.sum(band**2, axis=-1) for band in [*sb.highpass, sb.lowpass])
+        assert np.allclose(energy, np.sum(x**2, axis=-1), rtol=1e-12, atol=0.0)
