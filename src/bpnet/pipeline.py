@@ -8,6 +8,10 @@ sibling that replaces the old tree only on success, so a rerun leaves no
 stale record and a failure no partial one; `train` builds `models/` the same
 way and removes the other training mode's models.  A manifest keyed by the
 resolved config hash records every stage's inputs and outputs.
+
+`preprocess` and `segment` run two passes: one decides per window, the other
+works in bounded batches: denoising stacks of up to STACK_ROWS windows of one
+Q from any records, `build_sequences` over windows with up to SEGMENT_SPANS spans.
 """
 
 from __future__ import annotations
@@ -173,15 +177,16 @@ def _q_table(fs: float, levels: int, q_min: float, q_max: float, q_step: float, 
 
 
 CHANNELS = ("ecg", "ppg")
-STACK_ROWS = 64  # ~160 KB of denoising workspace per row (2000-sample window): bounds memory on long records
+STACK_ROWS = 32  # windows per denoising stack, ~170 KB of workspace per 2000-sample row: bounds memory on any cohort
+SEGMENT_SPANS = 64  # two-cycle spans per build_sequences batch: bounds its resampling temporaries
 
 
-def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre_dir: Path) -> None:
-    """Denoise one record's ECG and PPG windows into `pre_dir`, one stack per Q.
+def _select_qs(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre_dir: Path):
+    """Pass 1 over one record: the Qs (windows, channels) and the raw channels' lengths.
 
-    Q is chosen per channel window (ECG then PPG, window by window); the
-    windows that share a Q are then denoised together.  A channel window with
-    a non-finite sample is written as NaN with empty `q` and peak cells.
+    Q is chosen per channel window (ECG then PPG, window by window); one with
+    a non-finite sample gets NaN and empty `windows.csv` cells.  The ABP
+    passes through; the ECG and PPG are written all NaN for pass 2 to fill.
     """
     window = config.window_samples()
     ecg = np.load(raw_dir / "ecg.npy")
@@ -193,6 +198,8 @@ def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: P
             f"{window}-sample window"
         )
     windows = np.stack([x[: n_windows * window].reshape(n_windows, window) for x in (ecg, ppg)], axis=1)
+    if windows.dtype != np.float64:  # pass 2 reads the windows back as float64 bytes
+        raise DataError(f"record {raw_dir.name}: raw channels are not float64; run ingest again")
     qs = np.full(windows.shape[:2], np.nan)
     lines = ["window,channel,q,peak_hz,left_end_hz,prominence"]
     for w in range(n_windows):
@@ -205,20 +212,38 @@ def _preprocess_record(config: PipelineConfig, table: FrequencyTable, raw_dir: P
                 if peak is not None:
                     cells[1:] = [f"{v:.6g}" for v in (peak.frequency_hz, peak.left_end_hz, peak.prominence)]
             lines.append(",".join([str(w), channel, *cells]))
-
-    denoised = np.full(windows.shape, np.nan)
-    for q in np.unique(qs[np.isfinite(qs)]):
-        w_idx, c_idx = np.nonzero(qs == q)
-        for lo in range(0, w_idx.size, STACK_ROWS):
-            rows = w_idx[lo : lo + STACK_ROWS], c_idx[lo : lo + STACK_ROWS]
-            denoised[rows] = denoise_window(windows[rows], float(q), table)
     pre_dir.mkdir()
-    for c, channel in enumerate(CHANNELS):
-        np.save(pre_dir / f"{channel}.npy", denoised[:, c].reshape(-1))
+    for channel in CHANNELS:
+        np.save(pre_dir / f"{channel}.npy", np.full(n_windows * window, np.nan))
     abp_path = raw_dir / "abp.npy"
     if abp_path.exists():
         np.save(pre_dir / "abp.npy", np.load(abp_path)[: n_windows * window])
     (pre_dir / "windows.csv").write_text("\n".join(lines) + "\n")
+    return qs, (ecg.size, ppg.size)
+
+
+def _move_row(path: Path, samples: int, w: int, row: np.ndarray, write: bool) -> None:
+    """Read `row` from window w of the float64 .npy file at `path`, which ends with `samples`, or write it."""
+    with open(path, "r+b" if write else "rb") as fh:
+        fh.seek(fh.seek(0, os.SEEK_END) - 8 * samples + row.nbytes * w)
+        (fh.write if write else fh.readinto)(row)
+
+
+def _denoise_stacks(table: FrequencyTable, raw: Path, pre: Path, records: dict, window: int) -> None:
+    """Pass 2: denoise the cohort's finite channel windows in stacks of at most
+    STACK_ROWS that share a Q, from any records, one stack held at a time."""
+    cells = [(q, name, c, w) for name, (qs, _) in records.items() for (w, c), q in np.ndenumerate(qs)]
+    cells = sorted(cell for cell in cells if np.isfinite(cell[0]))
+    for q, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+        group = list(group)
+        for lo in range(0, len(group), STACK_ROWS):
+            stack = group[lo : lo + STACK_ROWS]
+            x = np.empty((len(stack), window))
+            for row, (_, name, c, w) in zip(x, stack):
+                _move_row(raw / name / f"{CHANNELS[c]}.npy", records[name][1][c], w, row, write=False)
+            x = denoise_window(x, float(q), table)
+            for row, (_, name, c, w) in zip(x, stack):
+                _move_row(pre / name / f"{CHANNELS[c]}.npy", len(records[name][0]) * window, w, row, write=True)
 
 
 def stage_preprocess(config: PipelineConfig) -> list[str]:
@@ -228,8 +253,8 @@ def stage_preprocess(config: PipelineConfig) -> list[str]:
     out = Path(config.out_dir)
     table.to_csv(out / "qtable.csv")  # an export of the table used; never read back
     with _replaced_tree(out / "pre") as pre:
-        for name in names:
-            _preprocess_record(config, table, out / "raw" / name, pre / name)
+        records = {name: _select_qs(config, table, out / "raw" / name, pre / name) for name in names}
+        _denoise_stacks(table, out / "raw", pre, records, config.window_samples())
     written = [*_tree_files(out / "pre"), str(out / "qtable.csv")]
     _update_manifest(config, "preprocess", names, written)
     return names
@@ -243,19 +268,20 @@ def _segment_channels(pre_dir: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _window_peaks(config: PipelineConfig, pre: Path, names: list[str]) -> tuple[dict[str, list], int]:
-    """Each record's finite windows with their PPG peaks, and the rows they bound.
+    """Each record's finite windows with their PPG peaks, in batches, and the rows they bound.
 
-    Per record: [(window offset, peak indices, or None where detection
-    failed)].  A window with P peaks gives P-2 rows, and only one with at
-    least M of them can give a sequence, so the sum of those counts bounds
-    the row table.  One record's channels are held at a time.
+    Per record: runs of [(window offset, peak indices, or None where
+    detection failed)] with at most SEGMENT_SPANS spans; a window with more,
+    or failed, comes alone.  A window with P peaks gives P-2 rows, and only
+    one with at least M of them can give a sequence, so the sum of those
+    counts bounds the row table.  One record's channels are held at a time.
     """
     window = config.window_samples()
     found: dict[str, list] = {}
     rows = 0
     for name in names:
         ecg, ppg, abp = _segment_channels(pre / name)
-        found[name] = []
+        found[name], spans = [], SEGMENT_SPANS  # the first window opens a batch
         for lo in range(0, ecg.size - window + 1, window):
             hi = lo + window
             if not all(np.all(np.isfinite(x[lo:hi])) for x in (ecg, ppg, abp)):
@@ -263,25 +289,30 @@ def _window_peaks(config: PipelineConfig, pre: Path, names: list[str]) -> tuple[
             try:
                 peaks = detect_ppg_peaks(ppg[lo:hi], config.fs)
             except SegmentationError:
-                peaks = None
+                peaks, n = None, SEGMENT_SPANS + 1
             else:
-                rows += peaks.size - 2 if peaks.size - 2 >= config.m else 0
-            found[name].append((lo, peaks))
+                n = peaks.size - 2
+                rows += n if n >= config.m else 0
+            if spans + n > SEGMENT_SPANS:
+                found[name].append([])
+                spans = 0
+            found[name][-1].append((lo, peaks))
+            spans += n
     return found, rows
 
 
 def _window_parts(config: PipelineConfig, pre: Path, found: dict[str, list]):
-    """Each window's `build_sequences` result that holds a sequence, in record and window order."""
+    """`build_sequences` over each batch of windows; the results that hold a sequence, in record and window order."""
     window = config.window_samples()
-    for name, windows in found.items():
+    for name, batches in found.items():
         ecg, ppg, abp = _segment_channels(pre / name)
-        for lo, peaks in windows:
-            hi = lo + window
+        for batch in batches:
+            lo, hi = batch[0][0], batch[-1][0] + window
             try:
-                # A window whose detection failed passes no peaks: detection runs again and raises.
+                # A window whose detection failed comes alone and passes no peaks: detection runs again and raises.
                 part = build_sequences(
-                    ecg[lo:hi], ppg[lo:hi], abp[lo:hi], config.fs, config.m,
-                    patient_id=name, index_offset=lo, peaks=peaks,
+                    ecg[lo:hi], ppg[lo:hi], abp[lo:hi], config.fs, config.m, patient_id=name, index_offset=lo,
+                    windows=None if batch[0][1] is None else [(w - lo, peaks) for w, peaks in batch],
                 )
             except SegmentationError:
                 continue  # unusable window; sequences never straddle windows
@@ -294,7 +325,7 @@ def stage_segment(config: PipelineConfig) -> DatasetSplit:
     """Two-cycle segmentation per window, then split and standardize.
 
     The row table is reserved once, at the bound `_window_peaks` finds, and
-    each window's sequences are copied in as soon as they are built, so the
+    each batch's sequences are copied in as soon as they are built, so the
     cohort's rows are never held twice.
     """
     names = _record_names(config, "pre", "preprocess")

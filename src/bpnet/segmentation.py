@@ -45,11 +45,13 @@ def _mapped_table(rows: int, cols: int) -> np.ndarray:
     freed; glibc then raises its mmap threshold, later tables land on the brk
     heap, and when a live chunk splits the heap's free space the heap grows
     by a whole table.  A mapping of its own is returned to the system when
-    the table dies, on every pass alike.
+    the table dies, on every pass alike.  `segment` fills nearly every row it
+    reserves, so the mapping is private and pre-faulted (MAP_POPULATE) where it can be.
     """
     if rows * cols == 0:  # mmap refuses an empty mapping
         return np.empty((rows, cols))
-    return np.frombuffer(mmap.mmap(-1, rows * cols * 8), dtype=np.float64).reshape(rows, cols)
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, rows * cols * 8, flags=flags), dtype=np.float64).reshape(rows, cols)
 
 
 @dataclass(eq=False)
@@ -341,16 +343,20 @@ def span_targets(
         centre = (first[run] + last[run]) // 2
         beat = strength[centre] > level[live][owner]
         centre, owner = centre[beat], owner[beat]
-        bounds = np.searchsorted(owner, np.arange(live.size + 1)).tolist()
-        # A span's centres ascend: runs come in time order.
-        centres, values = centre.tolist(), strength[centre].tolist()
-        for k, s in enumerate(live):
-            lo_k, hi_k = bounds[k], bounds[k + 1]
-            picked = _dedupe_refractory(centres[lo_k:hi_k], values[lo_k:hi_k], spacing)
-            if picked.size:
-                pairs[s, col] = np.add.reduce(x[picked]) / picked.size  # np.mean's arithmetic
-            else:
-                code[s] = 6
+        # Spans without a close pair keep every beat: row sums of a (spans, count) gather are np.mean's.
+        in_span = np.bincount(owner, minlength=live.size)
+        stop = np.cumsum(in_span)
+        close = np.zeros(live.size, dtype=bool)
+        close[owner[1:][(owner[1:] == owner[:-1]) & (np.diff(centre) < spacing)]] = True
+        value = x[centre]
+        for n in np.unique(in_span[~close & (in_span > 0)]).tolist():
+            group = np.flatnonzero(~close & (in_span == n))
+            pairs[live[group], col] = np.add.reduce(value[(stop[group] - n)[:, None] + np.arange(n)], axis=-1) / n
+        code[live[in_span == 0]] = 6
+        for k in np.flatnonzero(close).tolist():  # only a span with a close pair walks the dedupe
+            beats = centre[stop[k] - in_span[k] : stop[k]]
+            picked = _dedupe_refractory(beats.tolist(), strength[beats].tolist(), spacing)
+            pairs[live[k], col] = np.add.reduce(x[picked]) / picked.size  # np.mean's arithmetic
     sbp, dbp = pairs.T
     code[(code == 0) & ~((20.0 < dbp) & (dbp < sbp) & (sbp < 300.0))] = 7
     return pairs, code
@@ -365,35 +371,43 @@ def build_sequences(
     patient_id: str = "",
     index_offset: int = 0,
     peaks: np.ndarray | None = None,
+    windows: list[tuple[int, np.ndarray]] | None = None,
 ) -> Sequences:
-    """Sliding sequences of M two-cycle vectors, offset by one peak each.
+    """Sliding sequences of M two-cycle vectors, offset by one peak each, over a batch of windows.
 
-    A window with P usable peaks yields P-2 vectors and max(0, P-2-M+1)
-    sequences; any rejected member vector drops its containing sequences.
-    `peaks` takes ``detect_ppg_peaks(ppg, fs)`` when the caller already has
-    it; otherwise it is detected here.
+    `windows` lists each window's offset in the channels and its PPG peaks
+    relative to it; without it the channels are one window whose peaks are
+    `peaks`, or are detected here.  A window with P usable peaks yields P-2
+    vectors and max(0, P-2-M+1) sequences, never straddling windows; any
+    rejected member vector drops its containing sequences, and a window
+    left with none drops its rows.  Starts count from `index_offset`.
     """
     if m < 1:
         raise ValueError(f"sequence length must be >= 1, got {m}")
-    if peaks is None:
-        peaks = detect_ppg_peaks(ppg, fs)
-    # With fewer than M+2 peaks the sliding count below is simply empty.
-
-    lo, hi = peaks[:-2], peaks[2:]
+    if windows is None:
+        windows = [(0, detect_ppg_peaks(ppg, fs) if peaks is None else peaks)]
+    elif peaks is not None:
+        raise ValueError("pass peaks or windows, not both")
+    # With fewer than M+2 peaks a window's sliding count below is simply empty.
+    lo = np.concatenate([offset + p[:-2] for offset, p in windows])
+    hi = np.concatenate([offset + p[2:] for offset, p in windows])
+    window_of = np.repeat(np.arange(len(windows)), [max(p.size - 2, 0) for _, p in windows])
     vectors, feature_code = span_features(ecg, ppg, lo, hi, fs)
     targets, target_code = span_targets(abp, fs, lo, hi)
     # A rejected span keeps its features (zero if they were rejected) and
     # stores zero targets.
     rejected = (feature_code != 0) | (target_code != 0)
     targets[rejected] = 0.0
-    n = lo.size
 
-    # Start s is valid when rows s .. s+m-1 hold no rejected vector.
+    # Start s is valid when rows s .. s+m-1 lie in one window and hold no rejected vector.
+    count = max(lo.size - m + 1, 0)
     bad = np.concatenate([[0], np.cumsum(rejected)])
-    first = np.nonzero(bad[m:] == bad[: max(n - m + 1, 0)])[0]
-    return Sequences(
-        vectors, targets, first, np.full(first.size, patient_id), index_offset + peaks[first], m
-    )
+    first = np.flatnonzero((bad[m:] == bad[:count]) & (window_of[m - 1 :] == window_of[:count]))
+    start = index_offset + lo[first]
+    keep = np.isin(window_of, window_of[first])  # the rows of windows that hold a sequence
+    if not keep.all():
+        vectors, targets, first = vectors[keep], targets[keep], np.cumsum(keep)[first] - 1
+    return Sequences(vectors, targets, first, np.full(first.size, patient_id), start, m)
 
 
 def split_and_standardize(

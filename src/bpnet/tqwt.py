@@ -72,19 +72,21 @@ class TqwtParams:
         return 1.0 - self.beta / self.r
 
     def min_signal_length(self) -> int:
-        """Smallest (pre-padding) length whose final lowpass keeps >= 8 samples.
+        """Smallest signal length that :func:`decompose` accepts.
 
-        The lowpass length depends only on the padded length, a power of two,
-        so the search doubles; the answer is the shortest length that pads to
-        the first padded length that works.
+        A signal is zero-extended to a power of two, which works when its
+        final lowpass keeps >= 8 samples and every level's rounded lengths
+        leave a passband and a transition band.  The search doubles from 8,
+        the least padded length that can keep 8 lowpass samples, and returns
+        the shortest length that pads to the first one that works; a
+        TqwtError when none in float range does.
         """
-        scale = self.alpha**self.levels
-        if scale == 0.0:
-            raise TqwtError(f"{self.levels} levels leave no lowpass band at Q={self.q}")
-        k = 3
-        while 2 * round(math.ldexp(scale, k) / 2) < 8:
-            k += 1
-        return 8 if k == 3 else 2 ** (k - 1) + 1
+        for k in range(3, 1024):  # 2.0**1024 overflows
+            if 2 * round(math.ldexp(self.alpha**self.levels, k) / 2) >= 8 and all(
+                min(_stage_geometry(1 << k, self.alpha, self.beta, j)[3:]) >= 0 for j in range(1, self.levels + 1)
+            ):
+                return (1 << (k - 1)) + 1
+        raise TqwtError(f"{self.levels} levels leave no lowpass band at Q={self.q}")
 
 
 @dataclass
@@ -116,8 +118,9 @@ def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def _level_lengths(n_padded: int, alpha: float, beta: float, level: int) -> tuple[int, int, int]:
-    """(input, lowpass, highpass) lengths at `level`, all even.
+def _stage_geometry(n_padded: int, alpha: float, beta: float, level: int) -> tuple[int, int, int, int, int]:
+    """(input, lowpass, highpass) lengths at `level`, all even, then its
+    passband and transition bin counts; a negative count is a degenerate level.
 
     Lengths derive from the original padded length to avoid rounding drift
     across levels.
@@ -125,7 +128,7 @@ def _level_lengths(n_padded: int, alpha: float, beta: float, level: int) -> tupl
     n_in = n_padded if level == 1 else 2 * round(alpha ** (level - 1) * n_padded / 2)
     n_lo = 2 * round(alpha**level * n_padded / 2)
     n_hi = 2 * round(beta * alpha ** (level - 1) * n_padded / 2)
-    return n_in, n_lo, n_hi
+    return n_in, n_lo, n_hi, (n_in - n_hi) // 2, (n_lo + n_hi - n_in) // 2 - 1
 
 
 class _Stage(NamedTuple):
@@ -147,9 +150,7 @@ def _layout(n_padded: int, params: TqwtParams) -> tuple[_Stage, ...]:
     may ask for any Q."""
     stages = []
     for level in range(1, params.levels + 1):
-        n, n_lo, n_hi = _level_lengths(n_padded, params.alpha, params.beta, level)
-        p = (n - n_hi) // 2
-        t = (n_lo + n_hi - n) // 2 - 1
+        n, n_lo, n_hi, p, t = _stage_geometry(n_padded, params.alpha, params.beta, level)
         if p < 0 or t < 0:
             raise TqwtError(f"degenerate band geometry (n={n}, n_lo={n_lo}, n_hi={n_hi})")
         trans = _theta(np.arange(1, t + 1) * np.pi / (t + 1))

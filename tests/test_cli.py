@@ -450,29 +450,73 @@ def test_non_finite_sample_drops_only_its_window(tmp_path, synth_csv, column, ch
     assert np.array_equal(np.sort(starts), np.sort(clean_starts[clean_starts >= window]))
 
 
+@pytest.fixture(scope="module")
+def synth_cohort(tmp_path_factory):
+    """Three 70 s records whose windows' Q sets overlap, so denoising stacks span records."""
+    data = tmp_path_factory.mktemp("cohort")
+    for i, (seed, rate) in enumerate(((4, "72"), (5, "72"), (6, "84"))):
+        args = ["synth", "--out", str(data / f"rec{i}.csv"), "--duration", "70", "--seed", str(seed)]
+        assert main([*args, "--heart-rate", rate]) == 0
+    return data
+
+
 @pytest.mark.parametrize("stack_rows", [None, 1])
-def test_preprocess_equals_per_window_denoise(tmp_path, synth_csv, q_table, stack_rows, monkeypatch):
+def test_preprocess_equals_per_window_denoise(tmp_path, synth_cohort, q_table, stack_rows, monkeypatch):
     from bpnet import pipeline
     from bpnet.preprocess import denoise_window, select_q, spectrum_peak
 
     if stack_rows is not None:  # split every Q's stack into one-window passes
         monkeypatch.setattr(pipeline, "STACK_ROWS", stack_rows)
-    cfg = _write_config(tmp_path, synth_csv)
+    cfg = _write_config(tmp_path, synth_cohort)
     for stage in ("ingest", "preprocess"):
         assert main([stage, "--config", str(cfg)]) == 0
     out = tmp_path / "out"
     window = 2000
-    qs = set()
-    for channel in ("ecg", "ppg"):
-        raw = np.load(out / "raw" / "rec0" / f"{channel}.npy")
-        expected = []
-        for lo in range(0, raw.size - window + 1, window):
-            x = raw[lo : lo + window]
-            q = select_q(spectrum_peak(x, 125.0), q_table)
-            qs.add(q)
-            expected.append(denoise_window(x, q, q_table))
-        assert np.load(out / "pre" / "rec0" / f"{channel}.npy").tobytes() == np.concatenate(expected).tobytes()
-    assert len(qs) >= 3
+    qs = {}
+    for name in ("rec0", "rec1", "rec2"):
+        qs[name] = set()
+        for channel in ("ecg", "ppg"):
+            raw = np.load(out / "raw" / name / f"{channel}.npy")
+            expected = []
+            for lo in range(0, raw.size - window + 1, window):
+                x = raw[lo : lo + window]
+                q = select_q(spectrum_peak(x, 125.0), q_table)
+                qs[name].add(q)
+                expected.append(denoise_window(x, q, q_table))
+            got = np.load(out / "pre" / name / f"{channel}.npy")
+            assert got.tobytes() == np.concatenate(expected).tobytes(), (name, channel)
+    assert len(set.union(*qs.values())) >= 3
+    assert qs["rec0"] & qs["rec1"] and qs["rec1"] & qs["rec2"] and qs["rec0"] & qs["rec2"]
+
+
+def test_preprocess_peak_memory_does_not_grow_with_the_cohort(tmp_path, monkeypatch):
+    """One record plus one stack: four equal records peak as one does.
+
+    Stacks are capped at 4 rows, which one 240 s record fills too, so every
+    run holds the same largest stack.
+    """
+    import tracemalloc
+
+    from bpnet import pipeline
+    from bpnet.config import parse_config
+
+    monkeypatch.setattr(pipeline, "STACK_ROWS", 4)
+    peaks = {}
+    for count in (1, 4):
+        data = tmp_path / f"data{count}"
+        for i in range(count):
+            args = ["synth", "--out", str(data / f"rec{i}.csv"), "--duration", "240", "--seed", "4"]
+            assert main(args) == 0
+        config = parse_config(f"data.path = {data}\ntrain.m = 10\nout.dir = {tmp_path / f'out{count}'}\n")
+        pipeline.stage_ingest(config)
+        pipeline.stage_preprocess(config)  # builds the Q table once, outside the measurement
+        tracemalloc.start()
+        try:
+            pipeline.stage_preprocess(config)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] <= 1.2 * peaks[1], peaks
 
 
 def test_per_patient_models_route_test_sequences(tmp_path):

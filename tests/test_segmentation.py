@@ -262,6 +262,28 @@ class TestSequences:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
+    def test_batch_equals_its_windows_joined(self):
+        ecg, ppg, abp = _aligned_triple(60)
+        abp[300:400] = 400.0  # rejected spans in the first window
+        cuts = [0, 1000, 1300, 2600, ecg.size]
+        windows = [(a, detect_ppg_peaks(ppg[a:b], FS)) for a, b in zip(cuts[:-1], cuts[1:])]
+        windows[1] = (1000, windows[1][1][:4])  # two spans: fewer than M
+        batch = build_sequences(ecg, ppg, abp, FS, 3, patient_id="p", index_offset=7, windows=windows)
+        bounds = dict(zip(cuts[:-1], cuts[1:]))
+        parts = [
+            build_sequences(ecg[a : bounds[a]], ppg[a : bounds[a]], abp[a : bounds[a]], FS, 3, patient_id="p",
+                            index_offset=7 + a, peaks=peaks)
+            for a, peaks in windows
+        ]
+        assert len(parts[1]) == 0 and all(len(p) for p in parts[::2])
+        joined = Sequences.concat([p for p in parts if len(p)])
+        for field in ("vectors", "targets", "first", "patient", "start"):
+            a, b = getattr(batch, field), getattr(joined, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        with pytest.raises(ValueError, match="not both"):
+            build_sequences(ecg, ppg, abp, FS, 3, peaks=windows[0][1], windows=windows)
+
+
 class TestRejectedVectors:
     def test_rejected_vector_drops_its_sequences(self):
         ecg, ppg, abp = _aligned_triple(20)
@@ -438,6 +460,59 @@ def test_build_sequences_with_rejected_targets_matches_per_vector_loop():
     assert seqs.vectors.tobytes() == vectors.tobytes()
     assert seqs.targets.tobytes() == targets.tobytes()
     assert seqs.first.tolist() == first
+
+
+def _walked_targets(abp, fs, lo, hi):
+    """span_targets span by span: the extrema of ``abp[lo:hi]`` alone, each kind's
+    beats through the _dedupe_refractory walk, then averaged."""
+    spacing = int(round(0.3 * fs))
+    pairs, codes = np.zeros((len(lo), 2)), np.zeros(len(lo), dtype=int)
+    for s, (a, b) in enumerate(zip(lo, hi)):
+        seg = abp[min(a, abp.size) : b]
+        if seg.size == 0:
+            codes[s] = 5
+            continue
+        mid = 0.5 * (seg.min() + seg.max())
+        if seg.max() - seg.min() <= 1e-9:
+            codes[s] = 6
+            continue
+        for col, (found, strength, level) in enumerate(zip(_plateau_extrema(seg), (seg, -seg), (mid, -mid))):
+            found = found[strength[found] > level]
+            picked = _dedupe_refractory(found.tolist(), strength[found].tolist(), spacing)
+            if picked.size:
+                pairs[s, col] = np.add.reduce(seg[picked]) / picked.size
+            else:
+                codes[s] = 6
+        sbp, dbp = pairs[s]
+        if codes[s] == 0 and not 20.0 < dbp < sbp < 300.0:
+            codes[s] = 7
+    return pairs, codes
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_array_dedupe_equals_the_walk(data):
+    """Spans with and without candidates closer than 0.3 s, tied beats, plateaus and empty spans."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    knots = data.draw(st.integers(4, 40), label="knots")
+    # Alternating high and low knots, 3 to 60 samples apart: like extrema two
+    # gaps apart, often closer than the 38-sample spacing at 125 Hz.  Levels
+    # come from a small palette, so beats tie.
+    gaps = rng.integers(3, 61, knots)
+    palette = np.array(data.draw(st.lists(st.floats(60.0, 180.0), min_size=1, max_size=4), label="palette"))
+    level = rng.choice(palette, knots) + np.where(np.arange(knots) % 2, -40.0, 40.0)
+    x = np.concatenate([np.linspace(a, b, g, endpoint=False) for a, b, g in zip(level[:-1], level[1:], gaps)])
+    plateau = rng.integers(0, x.size - 4)
+    x[plateau : plateau + 4] = x[plateau]
+    n_spans = data.draw(st.integers(1, 12), label="n_spans")
+    lo = rng.integers(0, x.size, n_spans)
+    hi = lo + rng.integers(-5, 400, n_spans)  # some spans empty, some past the end
+    empty = rng.random(n_spans) < 0.2
+    hi[empty] = lo[empty]
+    got_pairs, got_codes = span_targets(x, FS, lo, hi)
+    want_pairs, want_codes = _walked_targets(x, FS, lo, np.clip(hi, 0, x.size))
+    assert got_codes.tolist() == want_codes.tolist()
+    assert got_pairs.tobytes() == want_pairs.tobytes()
 
 
 def test_one_span_rejection_codes():
@@ -843,12 +918,15 @@ WINDOW = 2000  # 16 s at 125 Hz, the M=10 window
 
 @pytest.fixture(scope="module")
 def pre_cohort(tmp_path_factory):
-    """A six-record `pre/` tree, 240 s each, with three kinds of unusable window.
+    """A six-record `pre/` tree, 240 s each, with unusable and unusual windows.
 
     p1's window 2 has a NaN ECG sample (as preprocess writes a dropped window),
     p2's window 3 has a flat ABP, so every span fails its targets although its
-    peaks would give enough rows, and p3's window 4 has a flat PPG, so peak
-    detection fails there.
+    peaks would give enough rows, p3's window 4 has a flat PPG, so peak
+    detection fails there, and p4's window 1 pulses for its first 5.6 s only,
+    so it has fewer than M+2 peaks.  p5's window 2 has a notch in its first
+    systolic peak: two ABP maxima 6 samples apart, closer than the 0.3 s
+    spacing.
     """
     pre = tmp_path_factory.mktemp("cohort") / "pre"
     for i, hr in enumerate((64.0, 72.0, 80.0, 88.0, 96.0, 104.0)):
@@ -860,6 +938,11 @@ def pre_cohort(tmp_path_factory):
             abp[3 * WINDOW : 4 * WINDOW] = 93.0
         if i == 3:
             ppg[4 * WINDOW : 5 * WINDOW] = 0.5
+        if i == 4:
+            ppg[WINDOW + 700 : 2 * WINDOW] = ppg[WINDOW + 700]
+        if i == 5:
+            top = 2 * WINDOW + 200 + int(np.argmax(abp[2 * WINDOW + 200 : 2 * WINDOW + 275]))
+            abp[top - 2 : top + 3] = abp[top] - 5.0
         (pre / f"p{i}").mkdir(parents=True)
         for name, x in (("ecg", ecg), ("ppg", ppg), ("abp", abp)):
             np.save(pre / f"p{i}" / f"{name}.npy", x)
@@ -871,8 +954,22 @@ def _segment_config(tmp_path, pre):
     return parse_config(f"train.m = 10\nout.dir = {tmp_path / 'out'}\n")
 
 
+def _window_by_window(ecg, ppg, abp, fs, m, patient_id, index_offset):
+    """Reference: build_sequences over one window as it was before batching,
+    every span's targets through the dedupe walk."""
+    peaks = detect_ppg_peaks(ppg, fs)
+    lo, hi = peaks[:-2], peaks[2:]
+    vectors, feature_code = span_features(ecg, ppg, lo, hi, fs)
+    targets, target_code = _walked_targets(abp, fs, lo, hi)
+    rejected = (feature_code != 0) | (target_code != 0)
+    targets[rejected] = 0.0
+    bad = np.concatenate([[0], np.cumsum(rejected)])
+    first = np.nonzero(bad[m:] == bad[: max(lo.size - m + 1, 0)])[0]
+    return Sequences(vectors, targets, first, np.full(first.size, patient_id), index_offset + peaks[first], m)
+
+
 def _list_assembled(config, pre, path):
-    """The dataset built by holding every window's parts in a list and joining them once."""
+    """The dataset built window by window, every window's parts held in a list and joined once."""
     parts = []
     for name in sorted(p.name for p in pre.iterdir()):
         ecg, ppg, abp = (np.load(pre / name / f"{c}.npy") for c in ("ecg", "ppg", "abp"))
@@ -881,13 +978,15 @@ def _list_assembled(config, pre, path):
             if not all(np.isfinite(x[lo:hi]).all() for x in (ecg, ppg, abp)):
                 continue
             try:
-                part = build_sequences(ecg[lo:hi], ppg[lo:hi], abp[lo:hi], FS, 10, patient_id=name, index_offset=lo)
+                part = _window_by_window(ecg[lo:hi], ppg[lo:hi], abp[lo:hi], FS, 10, name, lo)
             except SegmentationError:
                 continue
             if len(part):
                 parts.append(part)
     fractions = (config.split_train, config.split_validation, config.split_test)
-    save_dataset(split_and_standardize(Sequences.concat(parts), fractions), path)
+    split = split_and_standardize(Sequences.concat(parts), fractions)
+    save_dataset(split, path)
+    return split
 
 
 class TestStageSegment:
@@ -905,14 +1004,33 @@ class TestStageSegment:
         monkeypatch.undo()
         # The flat-ABP window's rows are reserved but hold no sequence.
         assert reserved[0] > len(split.train.vectors) > 0
-        _list_assembled(config, pre_cohort, tmp_path / "ref.bpseq")
+        ref = _list_assembled(config, pre_cohort, tmp_path / "ref.bpseq")
+        assert split.train.vectors.tobytes() == ref.train.vectors.tobytes()
+        assert split.train.targets.tobytes() == ref.train.targets.tobytes()
         out = tmp_path / "out"
         assert (out / "dataset.bpseq").read_bytes() == (tmp_path / "ref.bpseq").read_bytes()
         manifest = (out / "dataset.bpseq.manifest.csv").read_text()
         assert manifest == (tmp_path / "ref.bpseq.manifest.csv").read_text()
         starts = {(row.split(",")[0], int(row.split(",")[1]) // WINDOW) for row in manifest.splitlines()[1:]}
-        assert {("p0", 2), ("p2", 2), ("p3", 3)} <= starts
-        assert not {("p1", 2), ("p2", 3), ("p3", 4)} & starts
+        assert {("p0", 2), ("p2", 2), ("p3", 3), ("p4", 2), ("p5", 2)} <= starts
+        assert not {("p1", 2), ("p2", 3), ("p3", 4), ("p4", 1)} & starts
+
+    def test_cohort_holds_each_kind_of_window(self, pre_cohort):
+        def window(name, w, channel):
+            return np.load(pre_cohort / name / f"{channel}.npy")[w * WINDOW : (w + 1) * WINDOW]
+
+        with pytest.raises(SegmentationError):
+            detect_ppg_peaks(window("p3", 4, "ppg"), FS)
+        assert 3 <= detect_ppg_peaks(window("p4", 1, "ppg"), FS).size < 10 + 2
+        abp, peaks = window("p5", 2, "abp"), detect_ppg_peaks(window("p5", 2, "ppg"), FS)
+        spacing = int(round(0.3 * FS))
+        close = 0
+        for lo, hi in zip(peaks[:-2], peaks[2:]):
+            seg = abp[lo:hi]
+            found = _plateau_extrema(seg)[0]
+            found = found[seg[found] > 0.5 * (seg.min() + seg.max())]
+            close += int(np.any(np.diff(found) < spacing))
+        assert close
 
     def test_traced_peak_at_most_130_percent_of_the_table(self, tmp_path, pre_cohort):
         config = _segment_config(tmp_path, pre_cohort)

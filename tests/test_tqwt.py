@@ -300,11 +300,17 @@ def test_level_out_of_range():
 
 
 def _scanned_min_signal_length(params):
-    """Reference: step n one at a time until the final lowpass keeps 8 samples."""
-    n = 8
-    while 2 * round(params.alpha**params.levels * _next_pow2(n) / 2) < 8:
+    """Reference: step n one at a time until decompose's checks pass at its padded length."""
+    n = 1
+    while True:
+        n_padded = _next_pow2(max(n, 2))
+        if 2 * round(params.alpha**params.levels * n_padded / 2) >= 8:
+            try:
+                _layout(n_padded, params)
+                return n
+            except TqwtError:
+                pass
         n += 1
-    return n
 
 
 @pytest.mark.parametrize("q", [1.0, 1.08, 1.4, 2.0, 4.0])
@@ -313,6 +319,22 @@ def test_min_signal_length_matches_linear_scan(q, r):
     for levels in range(1, 16):
         params = TqwtParams(q=q, r=r, levels=levels)
         assert params.min_signal_length() == _scanned_min_signal_length(params), levels
+
+
+@pytest.mark.parametrize("q", [1.0, 1.08, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("levels", [1, 2, 3, 6, 10])  # 14 levels at r 1.5 need over 8 million samples
+def test_decompose_accepts_min_signal_length_and_not_one_less(q, r, levels):
+    # Q 3, r 1.5, 10 levels: the final lowpass keeps 8 samples at 512, but one
+    # level's rounded lengths there (n 14, n_lo 8, n_hi 6) leave no transition band.
+    params = TqwtParams(q=q, r=r, levels=levels)
+    n = params.min_signal_length()
+    sb = decompose(np.ones(n), params)
+    assert np.allclose(reconstruct(sb, params), 1.0, rtol=0.0, atol=1e-9)
+    # One sample less pads one power of two lower.
+    assert _next_pow2(n - 1) == _next_pow2(n) // 2
+    with pytest.raises(TqwtError):
+        decompose(np.ones(n - 1), params)
 
 
 def test_min_signal_length_with_no_lowpass_band_rejected():
@@ -455,10 +477,6 @@ def test_one_sided_bank_matches_full_spectrum_reference(q, r, levels, rng):
     n_min = params.min_signal_length()
     # The minimum and one past it, odd lengths and lengths that are not a power of two.
     for n in sorted({n_min, n_min + 1, max(n_min, 777), max(n_min, 1000), max(n_min, 2000) + 1}):
-        try:
-            _layout(_next_pow2(n), params)
-        except TqwtError:  # at Q 3, r 1.5, 10 levels, rounding leaves 257 samples no transition band
-            continue
         x = rng.standard_normal((3, n)) * np.array([[1.0], [1e3], [1e-3]])
         peaks = np.max(np.abs(x), axis=-1)
         sb, ref = decompose(x, params), _ref_decompose(x, params)
