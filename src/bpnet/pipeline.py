@@ -37,7 +37,7 @@ from bpnet.model import (
     save_model,
     train,
 )
-from bpnet.preprocess import denoise_window, select_q, spectrum_peak
+from bpnet.preprocess import denoise_window, first_peak, select_q, smoothed_spectra
 from bpnet.recordio import read_csv_record, read_wfdb_record, select_channels
 from bpnet.segmentation import (
     DatasetSplit,
@@ -177,36 +177,65 @@ def _q_table(fs: float, levels: int, q_min: float, q_max: float, q_step: float, 
 
 
 CHANNELS = ("ecg", "ppg")
-STACK_ROWS = 32  # windows per denoising stack, ~170 KB of workspace per 2000-sample row: bounds memory on any cohort
+STACK_ROWS = 32  # windows per denoising stack, ~115 KB of workspace per 2000-sample row: bounds memory on any cohort
 SEGMENT_SPANS = 64  # two-cycle spans per build_sequences batch: bounds its resampling temporaries
 
 
-def _select_qs(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre_dir: Path):
-    """Pass 1 over one record: the Qs (windows, channels) and the raw channels' lengths.
+def _load_channels(record_dir: Path, names: tuple[str, ...], writer: str) -> list[np.ndarray]:
+    """The record's channels `names` as stage `writer` saved them: 1-D float64
+    arrays of one length (preprocess pass 2 reads rows back as float64
+    bytes).  Anything else raises DataError naming the file."""
+    arrays = []
+    for name in names:
+        path = record_dir / f"{name}.npy"
+        try:
+            x = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise DataError(f"{path} is not a readable array ({exc}); run {writer} again") from None
+        if x.ndim != 1 or x.dtype != np.float64:
+            raise DataError(f"{path} holds a {x.ndim}-D {x.dtype} array, not 1-D float64; run {writer} again")
+        if arrays and x.size != arrays[0].size:
+            raise DataError(
+                f"{path} holds {x.size} samples, {names[0]}.npy {arrays[0].size}; run {writer} again"
+            )
+        arrays.append(x)
+    return arrays
 
-    Q is chosen per channel window (ECG then PPG, window by window); one with
-    a non-finite sample gets NaN and empty `windows.csv` cells.  The ABP
-    passes through; the ECG and PPG are written all NaN for pass 2 to fill.
+
+def _select_qs(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre_dir: Path):
+    """Pass 1 over one record: the Qs (windows, channels) and the raw channels' length.
+
+    Q is chosen per channel window from spectra taken per channel over the
+    record's finite windows; `windows.csv` lists them window by window, ECG
+    then PPG, and a window with a non-finite sample gets NaN and empty
+    cells.  The ABP passes through; the ECG and PPG are written all NaN for
+    pass 2 to fill.
     """
     window = config.window_samples()
-    ecg = np.load(raw_dir / "ecg.npy")
-    ppg = np.load(raw_dir / "ppg.npy")
+    names = CHANNELS + (("abp",) if (raw_dir / "abp.npy").exists() else ())
+    ecg, ppg, *abp = _load_channels(raw_dir, names, "ingest")
     n_windows = ecg.size // window
     if n_windows == 0:
         raise DataError(
             f"record {raw_dir.name}: {ecg.size} samples shorter than one "
             f"{window}-sample window"
         )
-    windows = np.stack([x[: n_windows * window].reshape(n_windows, window) for x in (ecg, ppg)], axis=1)
-    if windows.dtype != np.float64:  # pass 2 reads the windows back as float64 bytes
-        raise DataError(f"record {raw_dir.name}: raw channels are not float64; run ingest again")
-    qs = np.full(windows.shape[:2], np.nan)
+    finite = np.empty((n_windows, len(CHANNELS)), dtype=bool)
+    peaks = {}
+    for c, x in enumerate((ecg, ppg)):
+        windows = x[: n_windows * window].reshape(n_windows, window)
+        finite[:, c] = np.all(np.isfinite(windows), axis=-1)
+        rows = np.flatnonzero(finite[:, c])
+        if rows.size:
+            freqs, mags = smoothed_spectra(windows[rows], config.fs)
+            peaks.update(((w, c), first_peak(freqs, mag)) for w, mag in zip(rows.tolist(), mags))
+    qs = np.full(finite.shape, np.nan)
     lines = ["window,channel,q,peak_hz,left_end_hz,prominence"]
     for w in range(n_windows):
         for c, channel in enumerate(CHANNELS):
             cells = ["", "", "", ""]
-            if np.all(np.isfinite(windows[w, c])):
-                peak = spectrum_peak(windows[w, c], config.fs)
+            if finite[w, c]:
+                peak = peaks[w, c]
                 qs[w, c] = q = select_q(peak, table)
                 cells[0] = f"{q:.4g}"
                 if peak is not None:
@@ -215,18 +244,23 @@ def _select_qs(config: PipelineConfig, table: FrequencyTable, raw_dir: Path, pre
     pre_dir.mkdir()
     for channel in CHANNELS:
         np.save(pre_dir / f"{channel}.npy", np.full(n_windows * window, np.nan))
-    abp_path = raw_dir / "abp.npy"
-    if abp_path.exists():
-        np.save(pre_dir / "abp.npy", np.load(abp_path)[: n_windows * window])
+    if abp:
+        np.save(pre_dir / "abp.npy", abp[0][: n_windows * window])
     (pre_dir / "windows.csv").write_text("\n".join(lines) + "\n")
-    return qs, (ecg.size, ppg.size)
+    return qs, ecg.size
 
 
-def _move_row(path: Path, samples: int, w: int, row: np.ndarray, write: bool) -> None:
-    """Read `row` from window w of the float64 .npy file at `path`, which ends with `samples`, or write it."""
-    with open(path, "r+b" if write else "rb") as fh:
-        fh.seek(fh.seek(0, os.SEEK_END) - 8 * samples + row.nbytes * w)
-        (fh.write if write else fh.readinto)(row)
+def _move_rows(files: dict, stack: list, x: np.ndarray, write: bool) -> None:
+    """Read each row of `x` from its cell's window in the raw/ file, or write it
+    to the pre/ file.  A float64 .npy file ends with its samples; the stack's
+    cells are sorted, so the rows of one file are adjacent and share one open."""
+    for (name, c), rows in itertools.groupby(zip(stack, x), key=lambda item: item[0][1:3]):
+        path, samples = files[name, c][1 if write else 0]
+        with open(path, "r+b" if write else "rb") as fh:
+            start = fh.seek(0, os.SEEK_END) - 8 * samples
+            for (*_, w), row in rows:
+                fh.seek(start + row.nbytes * w)
+                (fh.write if write else fh.readinto)(row)
 
 
 def _denoise_stacks(table: FrequencyTable, raw: Path, pre: Path, records: dict, window: int) -> None:
@@ -234,16 +268,18 @@ def _denoise_stacks(table: FrequencyTable, raw: Path, pre: Path, records: dict, 
     STACK_ROWS that share a Q, from any records, one stack held at a time."""
     cells = [(q, name, c, w) for name, (qs, _) in records.items() for (w, c), q in np.ndenumerate(qs)]
     cells = sorted(cell for cell in cells if np.isfinite(cell[0]))
+    files = {  # (record, channel): its raw and pre files with their sample counts
+        (name, c): ((raw / name / f"{channel}.npy", samples), (pre / name / f"{channel}.npy", len(qs) * window))
+        for name, (qs, samples) in records.items()
+        for c, channel in enumerate(CHANNELS)
+    }
     for q, group in itertools.groupby(cells, key=lambda cell: cell[0]):
         group = list(group)
         for lo in range(0, len(group), STACK_ROWS):
             stack = group[lo : lo + STACK_ROWS]
             x = np.empty((len(stack), window))
-            for row, (_, name, c, w) in zip(x, stack):
-                _move_row(raw / name / f"{CHANNELS[c]}.npy", records[name][1][c], w, row, write=False)
-            x = denoise_window(x, float(q), table)
-            for row, (_, name, c, w) in zip(x, stack):
-                _move_row(pre / name / f"{CHANNELS[c]}.npy", len(records[name][0]) * window, w, row, write=True)
+            _move_rows(files, stack, x, write=False)
+            _move_rows(files, stack, denoise_window(x, float(q), table), write=True)
 
 
 def stage_preprocess(config: PipelineConfig) -> list[str]:
@@ -260,11 +296,17 @@ def stage_preprocess(config: PipelineConfig) -> list[str]:
     return names
 
 
-def _segment_channels(pre_dir: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    abp_path = pre_dir / "abp.npy"
-    if not abp_path.exists():
-        raise DataError(f"record {pre_dir.name} has no ABP channel; cannot build targets")
-    return np.load(pre_dir / "ecg.npy"), np.load(pre_dir / "ppg.npy"), np.load(abp_path)
+def _segment_channels(pre_dir: Path, window: int) -> list[np.ndarray]:
+    """A record's ECG, PPG and ABP as preprocess wrote them: equal lengths, whole windows."""
+    if not (pre_dir / "abp.npy").exists():
+        raise DataError(f"{pre_dir / 'abp.npy'} is missing: record {pre_dir.name} has no ABP for targets")
+    channels = _load_channels(pre_dir, CHANNELS + ("abp",), "preprocess")
+    if channels[0].size % window:
+        raise DataError(
+            f"{pre_dir / 'ecg.npy'} holds {channels[0].size} samples, not whole "
+            f"{window}-sample windows; run preprocess again"
+        )
+    return channels
 
 
 def _window_peaks(config: PipelineConfig, pre: Path, names: list[str]) -> tuple[dict[str, list], int]:
@@ -280,7 +322,7 @@ def _window_peaks(config: PipelineConfig, pre: Path, names: list[str]) -> tuple[
     found: dict[str, list] = {}
     rows = 0
     for name in names:
-        ecg, ppg, abp = _segment_channels(pre / name)
+        ecg, ppg, abp = _segment_channels(pre / name, window)
         found[name], spans = [], SEGMENT_SPANS  # the first window opens a batch
         for lo in range(0, ecg.size - window + 1, window):
             hi = lo + window
@@ -305,7 +347,7 @@ def _window_parts(config: PipelineConfig, pre: Path, found: dict[str, list]):
     """`build_sequences` over each batch of windows; the results that hold a sequence, in record and window order."""
     window = config.window_samples()
     for name, batches in found.items():
-        ecg, ppg, abp = _segment_channels(pre / name)
+        ecg, ppg, abp = _segment_channels(pre / name, window)
         for batch in batches:
             lo, hi = batch[0][0], batch[-1][0] + window
             try:

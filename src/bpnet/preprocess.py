@@ -6,6 +6,14 @@ scale, pick the quality factor Q from the frequency lookup table so the
 fundamental is not attenuated, decompose with the tunable-Q filter bank,
 drop the lowpass residual (DC and baseline wander), soft-threshold the
 subbands with a risk-estimate rule, and synthesize the cleaned window.
+
+Both steps take stacks of windows.  `smoothed_spectra` takes the spectra of
+a (K, N) stack, such as one record's windows of one channel, in one FFT and
+one normalisation; `first_peak` scans one of them, and `spectrum_peak` is a
+stack of one.  `denoise_window` takes a (K, N) stack that shares a Q.  The
+shrinkage writes into the band-sized arrays each call allocates anyway,
+with the same operations in the same order, so every value is rounded as in
+the plain expressions and each row comes out as its own call would give it.
 """
 
 from __future__ import annotations
@@ -36,26 +44,34 @@ class FundamentalPeak:
     left_end_hz: float
 
 
-def _smoothed_spectrum(signal: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude spectrum, lightly smoothed, divided by its maximum at or above 0.5 Hz.
+def smoothed_spectra(windows: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude spectra of a (K, N) stack of windows, lightly smoothed, each
+    row divided by its maximum at or above 0.5 Hz; returns (freqs, (K, bins)).
 
     The smoothing suppresses rectangular-window leakage ripple so that the
     valley scan sees spectral structure, not sidelobes.  Bins below
     PROMINENCE_WINDOW_HZ[0] (baseline wander) may exceed 1; they do not set
     the scale, so wander leaves the cardiac peaks' prominence as it is.
+    One `rfft` serves the stack; the smoothing runs row by row, because a
+    batched convolution sums in another order.
     """
-    mag = np.abs(np.fft.rfft(signal))
-    freqs = np.fft.rfftfreq(signal.size, d=1.0 / fs)
+    n = windows.shape[-1]
+    if n < 4 * fs:
+        raise PreprocessError(f"window of {n} samples shorter than 4 s at fs={fs}")
+    if fs <= 7.0:
+        raise PreprocessError(f"sampling rate {fs} too low to resolve the band")
+    mag = np.abs(np.fft.rfft(windows, axis=-1))
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     df = freqs[1] - freqs[0]
     width = max(1, int(round(SPECTRUM_SMOOTH_HZ / df)))
     if width % 2 == 0:
         width += 1
     if width > 1:
         kernel = np.full(width, 1.0 / width)
-        mag = np.convolve(mag, kernel, mode="same")
-    top = np.max(mag[freqs >= PROMINENCE_WINDOW_HZ[0]])
-    if top > 0:
-        mag = mag / top
+        for row in mag:
+            row[:] = np.convolve(row, kernel, mode="same")
+    top = mag[:, np.searchsorted(freqs, PROMINENCE_WINDOW_HZ[0]) :].max(axis=-1, keepdims=True)
+    mag /= np.where(top > 0, top, 1.0)
     return freqs, mag
 
 
@@ -83,22 +99,18 @@ def _prominence(mag: np.ndarray, freqs: np.ndarray, k: int, minima: np.ndarray) 
     return float(mag[k] - max(left_ref, right_ref))
 
 
-def spectrum_peak(signal: np.ndarray, fs: float) -> Optional[FundamentalPeak]:
-    """First sufficiently prominent spectral peak in the cardiac band.
+def first_peak(freqs: np.ndarray, mag: np.ndarray) -> Optional[FundamentalPeak]:
+    """First sufficiently prominent peak in the cardiac band of one spectrum
+    from `smoothed_spectra`.
 
     Scans [1.0, 3.5] Hz in ascending frequency and returns the first peak
     whose prominence exceeds 0.4 on the normalized spectrum; the left end is
     the nearest local minimum below the peak, or half the peak frequency when
-    no minimum exists.  Returns None when no peak qualifies.
+    no minimum exists.  Returns None when no peak qualifies.  No bin above
+    PROMINENCE_WINDOW_HZ[1] is read, so the extrema are sought below it.
     """
-    x = np.asarray(signal, dtype=float)
-    if x.size < 4 * fs:
-        raise PreprocessError(f"window of {x.size} samples shorter than 4 s at fs={fs}")
-    if fs <= 7.0:
-        raise PreprocessError(f"sampling rate {fs} too low to resolve the band")
-    freqs, mag = _smoothed_spectrum(x, fs)
-    maxima, minima = _local_extrema(mag)
-
+    end = min(mag.size, int(np.searchsorted(freqs, PROMINENCE_WINDOW_HZ[1], side="right")) + 1)
+    maxima, minima = _local_extrema(mag[:end])
     band = maxima[(freqs[maxima] >= FUNDAMENTAL_BAND_HZ[0]) & (freqs[maxima] <= FUNDAMENTAL_BAND_HZ[1])]
     for k in band:
         prom = _prominence(mag, freqs, int(k), minima)
@@ -110,6 +122,12 @@ def spectrum_peak(signal: np.ndarray, fs: float) -> Optional[FundamentalPeak]:
                 left_end = float(freqs[k]) / 2.0
             return FundamentalPeak(float(freqs[k]), float(mag[k]), prom, left_end)
     return None
+
+
+def spectrum_peak(signal: np.ndarray, fs: float) -> Optional[FundamentalPeak]:
+    """`first_peak` of one window's spectrum: a stack of one for `smoothed_spectra`."""
+    freqs, mag = smoothed_spectra(np.asarray(signal, dtype=float)[np.newaxis], fs)
+    return first_peak(freqs, mag[0])
 
 
 def select_q(peak: Optional[FundamentalPeak], table: FrequencyTable) -> float:
@@ -133,20 +151,32 @@ def sure_threshold(coeffs: np.ndarray, sigma: float | np.ndarray) -> np.ndarray:
 
     Works row by row along the last axis; `sigma` broadcasts against the
     rows as shape (..., 1), and the result holds one threshold per row in
-    that shape.
+    that shape.  The risk is (n - 2k + cumsum + (n - k) * sx2) / n, built
+    with the same operations in the same order inside the arrays the call
+    owns: the scaled copy is squared and sorted in place, and the terms are
+    added into the cumulative sum.
     """
-    w = np.asarray(coeffs, dtype=float) / sigma
-    n = w.shape[-1]
-    sx2 = np.sort(w * w, axis=-1)
-    cumsum = np.cumsum(sx2, axis=-1)
-    k = np.arange(1, n + 1)
-    risk = (n - 2.0 * k + cumsum + (n - k) * sx2) / n
+    sx2 = np.asarray(coeffs, dtype=float) / sigma
+    np.multiply(sx2, sx2, out=sx2)
+    sx2.sort(axis=-1)
+    n = sx2.shape[-1]
+    k = np.arange(1.0, n + 1)  # whole numbers: n - k is exact, as in integers
+    risk = np.cumsum(sx2, axis=-1)
+    risk += n - 2.0 * k
+    risk += (n - k) * sx2
+    risk /= n
     best = np.take_along_axis(sx2, np.argmin(risk, axis=-1)[..., None], axis=-1)
     return sigma * np.sqrt(best)
 
 
 def soft_shrink(values: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
-    return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
+    """sign(values) * max(|values| - threshold, 0), built in one output array."""
+    values = np.asarray(values, dtype=float)
+    out = np.abs(values)
+    out -= threshold
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(values)
+    return out
 
 
 def rigrsure_soft_denoise(subbands: SubbandSet) -> SubbandSet:
@@ -159,7 +189,13 @@ def rigrsure_soft_denoise(subbands: SubbandSet) -> SubbandSet:
     pass through unchanged.  The result shares the bands it leaves as they
     are with `subbands`.
     """
-    sigma = np.median(np.abs(subbands.highpass[0]), axis=-1, keepdims=True) / 0.6745
+    # np.median's value from an in-place sort, which is faster here than its
+    # partition: the mean of the middle one or two, NaN where a NaN sorts last.
+    finest = np.abs(subbands.highpass[0])
+    finest.sort(axis=-1)
+    n = finest.shape[-1]
+    sigma = finest[..., (n - 1) // 2 : n // 2 + 1].mean(axis=-1, keepdims=True) / 0.6745
+    sigma[np.isnan(finest[..., -1:])] = np.nan
     usable = (sigma > 0.0) & np.isfinite(sigma)
     sigma = np.where(usable, sigma, 1.0)  # masked rows: any finite scale, result discarded
     highpass = []
@@ -169,7 +205,9 @@ def rigrsure_soft_denoise(subbands: SubbandSet) -> SubbandSet:
             highpass.append(band)
             continue
         shrunk = soft_shrink(band, sure_threshold(band, sigma))
-        highpass.append(shrunk if keep.all() else np.where(keep, shrunk, band))
+        if not keep.all():
+            np.copyto(shrunk, band, where=~keep)
+        highpass.append(shrunk)
     return SubbandSet(highpass, subbands.lowpass, subbands.n_signal, subbands.n_padded)
 
 
@@ -182,7 +220,8 @@ def denoise_window(signal: np.ndarray, q: float, table: FrequencyTable) -> np.nd
     params = TqwtParams(q=q, r=table.r, levels=table.level)
     sb = decompose(signal, params)
     sb.lowpass = np.zeros_like(sb.lowpass)
-    return reconstruct(rigrsure_soft_denoise(sb), params)
+    sb = rigrsure_soft_denoise(sb)  # lets the noisy bands go before synthesis
+    return reconstruct(sb, params)
 
 
 def preprocess_signal(signal: np.ndarray, fs: float, table: FrequencyTable) -> np.ndarray:

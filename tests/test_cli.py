@@ -402,6 +402,56 @@ def test_failed_preprocess_leaves_no_partial_record(tmp_path, synth_csv, capsys)
     assert "run preprocess first" in capsys.readouterr().err
 
 
+def _corrupt_array(path, how):
+    x = np.load(path)
+    if how == "cut to 1,000 bytes":
+        path.write_bytes(path.read_bytes()[:1000])
+    elif how == "saved 2-D":
+        np.save(path, x.reshape(-1, 2000) if x.size % 2000 == 0 else x[:8000].reshape(4, 2000))
+    elif how == "5,000 samples":
+        np.save(path, x[:5000])
+    elif how == "int16 zeros":
+        np.save(path, np.zeros(x.size, np.int16))
+    elif how == "a pickled object array":
+        np.save(path, np.array([x, "abp"], dtype=object), allow_pickle=True)
+    elif how == "deleted":
+        path.unlink()
+
+
+@pytest.mark.parametrize(
+    "tree, channel, how, stage",
+    [
+        ("pre", "ppg", "cut to 1,000 bytes", "segment"),
+        ("pre", "ppg", "saved 2-D", "segment"),
+        ("raw", "ppg", "cut to 1,000 bytes", "preprocess"),
+        ("raw", "ppg", "5,000 samples", "preprocess"),
+        ("raw", "abp", "a pickled object array", "preprocess"),
+        ("pre", "ppg", "5,000 samples", "segment"),
+        ("pre", "ppg", "int16 zeros", "segment"),
+        ("pre", "abp", "deleted", "segment"),
+    ],
+)
+def test_corrupt_channel_array_exits_2_naming_the_file(tmp_path, synth_csv, capsys, tree, channel, how, stage):
+    cfg = _write_config(tmp_path, synth_csv)
+    for earlier in ("ingest", "preprocess")[: 1 + (tree == "pre")]:
+        assert main([earlier, "--config", str(cfg)]) == 0, earlier
+    path = tmp_path / "out" / tree / "rec0" / f"{channel}.npy"
+    _corrupt_array(path, how)
+    assert main([stage, "--config", str(cfg)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_pre_channels_not_whole_windows_exit_2(tmp_path, synth_csv, capsys):
+    cfg = _write_config(tmp_path, synth_csv)
+    for stage in ("ingest", "preprocess"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    pre = tmp_path / "out" / "pre" / "rec0"
+    for channel in ("ecg", "ppg", "abp"):  # equal lengths, 2.5 windows
+        np.save(pre / f"{channel}.npy", np.load(pre / f"{channel}.npy")[:5000])
+    assert main(["segment", "--config", str(cfg)]) == 2
+    assert str(pre / "ecg.npy") in capsys.readouterr().err
+
+
 def _window_starts(split) -> np.ndarray:
     return np.concatenate([part.start for part in (split.train, split.validation, split.test)])
 
@@ -452,11 +502,22 @@ def test_non_finite_sample_drops_only_its_window(tmp_path, synth_csv, column, ch
 
 @pytest.fixture(scope="module")
 def synth_cohort(tmp_path_factory):
-    """Three 70 s records whose windows' Q sets overlap, so denoising stacks span records."""
+    """Three 70 s records whose windows' Q sets overlap, so denoising stacks span records.
+
+    rec1's ECG window 2 is all zero, so no peak qualifies and its Q falls
+    back; rec2's PPG window 1 holds a NaN, so preprocess skips it.
+    """
     data = tmp_path_factory.mktemp("cohort")
     for i, (seed, rate) in enumerate(((4, "72"), (5, "72"), (6, "84"))):
         args = ["synth", "--out", str(data / f"rec{i}.csv"), "--duration", "70", "--seed", str(seed)]
         assert main([*args, "--heart-rate", rate]) == 0
+    for name, rows, column, value in (("rec1", range(4001, 6001), 1, "0.0"), ("rec2", [2008], 2, "nan")):
+        lines = (data / f"{name}.csv").read_text().split("\n")
+        for row in rows:  # line 0 is the header
+            cells = lines[row].split(",")
+            cells[column] = value
+            lines[row] = ",".join(cells)
+        (data / f"{name}.csv").write_text("\n".join(lines))
     return data
 
 
@@ -475,18 +536,32 @@ def test_preprocess_equals_per_window_denoise(tmp_path, synth_cohort, q_table, s
     qs = {}
     for name in ("rec0", "rec1", "rec2"):
         qs[name] = set()
+        cells = {}
         for channel in ("ecg", "ppg"):
             raw = np.load(out / "raw" / name / f"{channel}.npy")
             expected = []
             for lo in range(0, raw.size - window + 1, window):
                 x = raw[lo : lo + window]
-                q = select_q(spectrum_peak(x, 125.0), q_table)
+                if not np.all(np.isfinite(x)):
+                    cells[lo // window, channel] = ",,,"
+                    expected.append(np.full(window, np.nan))
+                    continue
+                peak = spectrum_peak(x, 125.0)
+                q = select_q(peak, q_table)
+                found = () if peak is None else (peak.frequency_hz, peak.left_end_hz, peak.prominence)
+                cells[lo // window, channel] = ",".join([f"{q:.4g}", *(f"{v:.6g}" for v in found)] + [""] * (3 - len(found)))
                 qs[name].add(q)
                 expected.append(denoise_window(x, q, q_table))
             got = np.load(out / "pre" / name / f"{channel}.npy")
             assert got.tobytes() == np.concatenate(expected).tobytes(), (name, channel)
+        lines = ["window,channel,q,peak_hz,left_end_hz,prominence"]
+        lines += [f"{w},{channel},{row}" for (w, channel), row in sorted(cells.items())]
+        assert (out / "pre" / name / "windows.csv").read_text() == "\n".join(lines) + "\n", name
+    assert cells[1, "ppg"] == ",,," and cells[1, "ecg"] != ",,,"  # rec2's NaN window
     assert len(set.union(*qs.values())) >= 3
     assert qs["rec0"] & qs["rec1"] and qs["rec1"] & qs["rec2"] and qs["rec0"] & qs["rec2"]
+    text = (out / "pre" / "rec1" / "windows.csv").read_text()
+    assert "\n2,ecg,1.08,,,\n" in text  # the zero window's fallback Q
 
 
 def test_preprocess_peak_memory_does_not_grow_with_the_cohort(tmp_path, monkeypatch):

@@ -1,10 +1,18 @@
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpnet.preprocess import (
     FALLBACK_Q,
+    FUNDAMENTAL_BAND_HZ,
+    PROMINENCE_FLOOR,
+    PROMINENCE_WINDOW_HZ,
+    SPECTRUM_SMOOTH_HZ,
     FundamentalPeak,
     PreprocessError,
     denoise_window,
@@ -12,6 +20,8 @@ from bpnet.preprocess import (
     rigrsure_soft_denoise,
     select_q,
     soft_shrink,
+    first_peak,
+    smoothed_spectra,
     spectrum_peak,
     sure_threshold,
 )
@@ -326,3 +336,130 @@ def test_spectrum_peak_finds_the_heart_rate_under_baseline_wander(drift):
                 peak = spectrum_peak(getattr(rec, channel)[lo : lo + window], FS)
                 hits[channel] += peak is not None and abs(peak.frequency_hz - rate) <= 0.2
     assert hits["ecg"] >= 54 and hits["ppg"] >= 54, hits  # 90 % of the 60 windows
+
+
+# The one-window spectrum scan and the plain shrinkage expressions, kept as
+# references: the stacked and in-place forms must give the same bits.
+def _ref_spectrum_peak(x, fs):
+    mag = np.abs(np.fft.rfft(x))
+    freqs = np.fft.rfftfreq(x.size, d=1.0 / fs)
+    width = max(1, int(round(SPECTRUM_SMOOTH_HZ / (freqs[1] - freqs[0]))))
+    width += width % 2 == 0
+    if width > 1:
+        mag = np.convolve(mag, np.full(width, 1.0 / width), mode="same")
+    top = np.max(mag[freqs >= PROMINENCE_WINDOW_HZ[0]])
+    if top > 0:
+        mag = mag / top
+    maxima = np.nonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:]))[0] + 1
+    minima = np.nonzero((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))[0] + 1
+    lo_hz, hi_hz = PROMINENCE_WINDOW_HZ
+    for k in maxima[(freqs[maxima] >= FUNDAMENTAL_BAND_HZ[0]) & (freqs[maxima] <= FUNDAMENTAL_BAND_HZ[1])]:
+        left = minima[(minima < k) & (freqs[minima] >= lo_hz)]
+        right = minima[(minima > k) & (freqs[minima] <= hi_hz)]
+        if left.size:
+            left_ref = mag[left[-1]]
+        else:
+            lo_bin = np.searchsorted(freqs, lo_hz)
+            left_ref = np.min(mag[lo_bin:k]) if lo_bin < k else mag[k]
+        if right.size:
+            right_ref = mag[right[0]]
+        else:
+            hi_bin = np.searchsorted(freqs, hi_hz, side="right")
+            right_ref = np.min(mag[k + 1 : hi_bin]) if k + 1 < hi_bin else mag[k]
+        prom = float(mag[k] - max(left_ref, right_ref))
+        if prom > PROMINENCE_FLOOR:
+            below = minima[minima < k]
+            left_end = float(freqs[below[-1]]) if below.size and freqs[below[-1]] > 0 else float(freqs[k]) / 2.0
+            return FundamentalPeak(float(freqs[k]), float(mag[k]), prom, left_end)
+    return None
+
+
+def _ref_sure_threshold(coeffs, sigma):
+    w = np.asarray(coeffs, dtype=float) / sigma
+    n = w.shape[-1]
+    sx2 = np.sort(w * w, axis=-1)
+    cumsum = np.cumsum(sx2, axis=-1)
+    k = np.arange(1, n + 1)
+    risk = (n - 2.0 * k + cumsum + (n - k) * sx2) / n
+    best = np.take_along_axis(sx2, np.argmin(risk, axis=-1)[..., None], axis=-1)
+    return sigma * np.sqrt(best)
+
+
+def _ref_soft_shrink(values, threshold):
+    return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
+
+
+def _ref_denoise_bands(highpass):
+    sigma = np.median(np.abs(highpass[0]), axis=-1, keepdims=True) / 0.6745
+    usable = (sigma > 0.0) & np.isfinite(sigma)
+    sigma = np.where(usable, sigma, 1.0)
+    out = []
+    for band in highpass:
+        keep = usable & np.any(band, axis=-1, keepdims=True)
+        out.append(np.where(keep, _ref_soft_shrink(band, _ref_sure_threshold(band, sigma)), band))
+    return out
+
+
+def test_stacked_spectra_give_the_one_window_peaks():
+    # Heart rates 64-104 bpm under drift, a pure tone, a constant and zeros
+    # (no peak), at two window lengths.
+    for n in (2000, 2048):
+        rows = [_sine(1.5, n), np.full(n, 3.0), np.zeros(n), _sine(6.0, n)]
+        for i, hr in enumerate((64.0, 91.0, 104.0)):
+            rec = generate(SyntheticConfig(duration_s=70.0, heart_rate_bpm=hr, seed=50 + i, ecg_drift=0.3))
+            rows += [rec.ecg[lo : lo + n] for lo in range(0, rec.ecg.size - n + 1, n)]
+            rows += [rec.ppg[lo : lo + n] for lo in range(0, rec.ppg.size - n + 1, n)]
+        want = [_ref_spectrum_peak(x, FS) for x in rows]
+        freqs, mags = smoothed_spectra(np.stack(rows), FS)
+        assert [first_peak(freqs, mag) for mag in mags] == want
+        assert [spectrum_peak(x, FS) for x in rows] == want
+        assert sum(p is None for p in want) >= 3
+    assert smoothed_spectra(np.empty((0, 2000)), FS)[1].shape == (0, 1001)
+    with pytest.raises(PreprocessError):
+        smoothed_spectra(np.ones((2, 100)), FS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 64),
+    n=st.integers(1, 1100),
+    seed=st.integers(0, 2**32 - 1),
+    scalar_sigma=st.booleans(),
+)
+def test_in_place_shrinkage_is_bit_equal_to_the_plain_expressions(rows, n, seed, scalar_sigma):
+    rng = np.random.default_rng(seed)
+    band = rng.standard_normal((rows, n)) * rng.uniform(0.01, 50.0, (rows, 1))
+    band[rng.random(rows) < 0.2] = 0.0  # all-zero rows
+    sigma = float(rng.uniform(0.1, 5.0)) if scalar_sigma else rng.uniform(0.1, 5.0, (rows, 1))
+    t = sure_threshold(band, sigma)
+    assert t.tobytes() == _ref_sure_threshold(band, sigma).tobytes()
+    assert soft_shrink(band, t).tobytes() == _ref_soft_shrink(band, t).tobytes()
+    if scalar_sigma:
+        assert soft_shrink(band[0], float(t[0, 0])).tobytes() == _ref_soft_shrink(band[0], float(t[0, 0])).tobytes()
+
+    # Rows whose finest band is zero or holds a NaN have no noise scale and
+    # pass through (masked).
+    width = 2 * n - int(rng.integers(2))  # odd and even: one or two middle values
+    finest = rng.standard_normal((rows, width)) * rng.uniform(0.01, 5.0, (rows, 1))
+    finest[rng.random(rows) < 0.3] = 0.0
+    finest[rng.random(rows) < 0.1, rng.integers(width)] = np.nan
+    highpass = [finest, band, band[:, : (n + 1) // 2].copy()]
+    got = rigrsure_soft_denoise(SubbandSet(highpass, np.zeros((rows, 4)), 4 * n, 4 * n))
+    for a, b in zip(got.highpass, _ref_denoise_bands(highpass)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_stacked_denoise_workspace_per_row(q_table, rng):
+    # With the noisy subbands alive beside the shrunk ones through synthesis
+    # and several band-sized SURE temporaries, a row took 156-182 KB; the
+    # in-place shrinkage takes 113-120 KB per row, output included.
+    x = rng.standard_normal((32, 2000))
+    for q in (1.0, 1.2, 1.4):
+        denoise_window(x, q, q_table)  # fills the level-geometry cache
+        tracemalloc.start()
+        try:
+            denoise_window(x, q, q_table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / x.shape[0] <= 135 * 1024, (q, peak / x.shape[0] / 1024)
